@@ -11,6 +11,12 @@
 //! printed for the reviewer but never fails the build: quick runs on
 //! shared CI hosts are too noisy to hard-gate.
 //!
+//! It also fails when the current artifact's
+//! `kernels.conformance_packed_vs_scalar` ratio is below 1.0 (or
+//! missing): the packed conformance kernel must beat the scalar sum it
+//! replaced. Both sides of that ratio come from the same run, so the
+//! host's speed cancels out and no baseline is needed.
+//!
 //! ```text
 //! check_stream_bench --baseline=BENCH_stream.json \
 //!     --current=target/BENCH_stream_quick.json [--threshold=0.2]
@@ -28,10 +34,13 @@ struct Row {
     recovery_us: Option<f64>,
 }
 
-fn load_rows(path: &str) -> Result<Vec<Row>, String> {
+fn load_doc(path: &str) -> Result<Value, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc: Value =
-        serde_json::from_str(&text).map_err(|e| format!("cannot parse {path}: {e:?}"))?;
+    serde_json::from_str(&text).map_err(|e| format!("cannot parse {path}: {e:?}"))
+}
+
+fn load_rows(path: &str) -> Result<Vec<Row>, String> {
+    let doc = load_doc(path)?;
     let configs = doc
         .get("configs")
         .and_then(Value::as_array)
@@ -56,6 +65,15 @@ fn load_rows(path: &str) -> Result<Vec<Row>, String> {
         });
     }
     Ok(rows)
+}
+
+/// The current artifact's `kernels.<key>` ratio.
+fn kernel_ratio(path: &str, key: &str) -> Result<f64, String> {
+    load_doc(path)?
+        .get("kernels")
+        .and_then(|k| k.get(key))
+        .and_then(Value::as_f64)
+        .ok_or_else(|| format!("{path}: no `kernels.{key}` ratio"))
 }
 
 fn parse_args() -> Result<(String, String, f64), String> {
@@ -149,16 +167,26 @@ fn main() -> ExitCode {
         }
     }
 
+    const PACKED_RATIO: &str = "conformance_packed_vs_scalar";
+    match kernel_ratio(&current_path, PACKED_RATIO) {
+        Ok(ratio) if ratio >= 1.0 => {
+            println!("\nkernels.{PACKED_RATIO} = {ratio:.2} (gated >= 1.0)")
+        }
+        Ok(ratio) => failures.push(format!("kernels.{PACKED_RATIO} = {ratio:.2} < 1.0")),
+        Err(e) => failures.push(e),
+    }
+
     if failures.is_empty() {
         println!(
             "\nok: no single_shard/ throughput row or repair/nudge recovery \
-             regressed more than {:.0}% vs {baseline_path}",
+             regressed more than {:.0}% vs {baseline_path}, and the packed \
+             conformance kernel beats the scalar one",
             threshold * 100.0
         );
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "\nFAIL: {} gated row(s) regressed more than {:.0}%: {}",
+            "\nFAIL: {} gate(s) failed (rows gate at a {:.0}% regression): {}",
             failures.len(),
             threshold * 100.0,
             failures.join(", ")

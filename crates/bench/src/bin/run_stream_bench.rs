@@ -16,6 +16,7 @@ use cf_bench::stream_load::{
     fresh_retraining_engine, fresh_sharded_engine, kernel_problem, ladder_spec, percentile_us,
     pregenerate, pregenerate_delayed, pregenerate_from, pregenerate_kary, pregenerate_sharded,
 };
+use cf_conformance::{learn_constraints, LearnOptions};
 use cf_datasets::stream::DriftStream;
 use cf_learners::{Gbt, GbtConfig, Learner, LogisticRegression};
 use cf_linalg::vector;
@@ -122,13 +123,14 @@ fn drive_sharded(
     (ingested, started.elapsed().as_secs_f64())
 }
 
-/// The raw scoring-kernel rows: batch margin throughput of the flattened
-/// SoA GBT traversal against its recursive reference, and of the 4-row
-/// logistic scoring tile against the per-row dot loop it replaced — on
-/// the same fitted models over the same pregenerated blocks, outside the
-/// engine (no window, no counters), so the rows isolate exactly what the
-/// kernel rewrites bought. Both pairs are asserted bit-identical before
-/// the clock starts.
+/// The raw kernel rows: batch margin throughput of the flattened SoA GBT
+/// traversal against its recursive reference, of the 4-row logistic
+/// scoring tile against the per-row dot loop it replaced, and of the
+/// packed conformance-violation kernel against the per-projection scalar
+/// sum — on the same fitted models and profiles over the same
+/// pregenerated blocks, outside the engine (no window, no counters), so
+/// the rows isolate exactly what the kernel rewrites bought. Every pair is
+/// asserted bit-identical before the clock starts.
 fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
     let block = 8_192usize;
     let gbt_d = 16;
@@ -142,6 +144,17 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
     let mut lr = LogisticRegression::default();
     lr.fit(&x_train, &y, None).expect("logistic fit");
     let (coef, intercept) = (lr.coefficients().to_vec(), lr.intercept());
+    // One d=32 profile (m = 32 projections, one per principal axis),
+    // probed with the logistic block: same geometry, mostly conforming.
+    let profile = learn_constraints(&x_train, &LearnOptions::default());
+    let profile_m = profile.len();
+    let scalar_violation = |row: &[f64]| -> f64 {
+        profile
+            .projections()
+            .iter()
+            .map(|p| p.importance * p.violation(row))
+            .sum()
+    };
 
     // Equivalence gates: a kernels row for a kernel that diverged from its
     // reference would be a benchmark of a wrong answer.
@@ -168,6 +181,11 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
             .zip(&scalar)
             .all(|(a, b)| a.to_bits() == b.to_bits()),
         "tiled and scalar logistic margins diverged"
+    );
+    assert!(
+        x_lr.iter_rows()
+            .all(|row| profile.violation(row).to_bits() == scalar_violation(row).to_bits()),
+        "packed and scalar conformance violations diverged"
     );
 
     let mut configs = Vec::new();
@@ -223,10 +241,24 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
         .len()
     });
 
+    let cc_target = if quick { 200_000 } else { 2_000_000 };
+    let cc_scalar = row("kernels/conformance_scalar", cc_target, &mut || {
+        let violations: Vec<f64> = x_lr.iter_rows().map(&scalar_violation).collect();
+        black_box(violations).len()
+    });
+    let cc_packed = row("kernels/conformance_packed", cc_target, &mut || {
+        let violations: Vec<f64> = x_lr
+            .iter_rows()
+            .map(|r| black_box(&profile).violation(r))
+            .collect();
+        black_box(violations).len()
+    });
+
     let summary = serde_json::json!({
-        "workload": format!("raw batch margins, block={block}, gbt d={gbt_d} (60 trees, depth<=4), logistic d={lr_d}"),
+        "workload": format!("raw batch margins, block={block}, gbt d={gbt_d} (60 trees, depth<=4), logistic d={lr_d}; conformance violations, d={lr_d}, m={profile_m}"),
         "gbt_flat_vs_recursive": gbt_flat / gbt_recursive,
         "logistic_tiles_vs_scalar": lr_tiles / lr_scalar,
+        "conformance_packed_vs_scalar": cc_packed / cc_scalar,
     });
     (configs, summary)
 }
@@ -777,8 +809,8 @@ fn main() {
         }));
     }
 
-    // Raw scoring-kernel throughput (flat GBT vs recursive, logistic
-    // tiles vs scalar), outside the engine.
+    // Raw kernel throughput (flat GBT vs recursive, logistic tiles vs
+    // scalar, packed conformance vs scalar), outside the engine.
     let (kernel_configs, kernel_summary) = kernels(quick);
     configs.extend(kernel_configs);
 

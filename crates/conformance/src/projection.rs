@@ -45,7 +45,13 @@ impl Projection {
         if d == 0.0 {
             return 0.0;
         }
-        1.0 - (-d / self.std.max(MIN_SIGMA)).exp()
+        1.0 - (-d / self.sigma()).exp()
+    }
+
+    /// The violation scale `σ(F)`, floored at `MIN_SIGMA`.
+    #[inline]
+    pub(crate) fn sigma(&self) -> f64 {
+        self.std.max(MIN_SIGMA)
     }
 
     /// Boolean semantics: does the tuple satisfy the constraint?

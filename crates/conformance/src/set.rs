@@ -7,24 +7,118 @@ use crate::projection::Projection;
 /// Importance weights are normalised at construction so `Σ qᵢ = 1`, making
 /// the set violation `⟦Φ⟧(t) = Σ qᵢ·⟦ϕᵢ⟧(t)` a convex combination in `[0, 1]`
 /// (1 is reached only when every conjunct's violation saturates).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Every projection of a set has the same width `d` (the attribute count
+/// it was profiled on).
+#[derive(Clone)]
 pub struct ConstraintSet {
     projections: Vec<Projection>,
+    /// Evaluation layout derived from `projections`; rebuilt wherever they
+    /// are set or changed and never serialised.
+    packed: Packed,
+}
+
+/// The projections of a set packed for [`ConstraintSet::violation`]: the
+/// m×d coefficients transposed into one d×m row-major buffer (row `k`
+/// holds coefficient `k` of every projection), so a register tile of
+/// projections reads one contiguous slice per attribute, plus per-projection
+/// bound, scale and weight vectors.
+#[derive(Clone)]
+struct Packed {
+    coeffs_t: Vec<f64>,
+    lb: Vec<f64>,
+    ub: Vec<f64>,
+    /// `σᵢ.max(MIN_SIGMA)`, the divisor `Projection::violation` uses.
+    sigma: Vec<f64>,
+    q: Vec<f64>,
+}
+
+impl Packed {
+    /// Pack `projections`, which must share one width `d ≥ 1`.
+    fn new(projections: &[Projection]) -> Self {
+        let m = projections.len();
+        let d = projections[0].coeffs.len();
+        let mut coeffs_t = vec![0.0; d * m];
+        for (i, p) in projections.iter().enumerate() {
+            for (k, &c) in p.coeffs.iter().enumerate() {
+                coeffs_t[k * m + i] = c;
+            }
+        }
+        Self {
+            coeffs_t,
+            lb: projections.iter().map(|p| p.lb).collect(),
+            ub: projections.iter().map(|p| p.ub).collect(),
+            sigma: projections.iter().map(Projection::sigma).collect(),
+            q: projections.iter().map(|p| p.importance).collect(),
+        }
+    }
+
+    /// Evaluate the `W` projections `j..j + W` on `t` and fold their
+    /// weighted violations into `total`, in projection order.
+    ///
+    /// Each projection accumulates k-ascending from `-0.0` in its own lane —
+    /// the exact operation sequence of `vector::dot`'s `Iterator::sum`, so
+    /// `Fᵢ(t)` is bit-identical to `Projection::project` — and the `[f64; W]`
+    /// accumulators are independent chains the autovectoriser keeps in
+    /// registers. Zero coefficients are multiplied through, so IEEE
+    /// propagation (0 × inf = NaN) matches the scalar path.
+    #[inline(always)]
+    fn fold_tile<const W: usize>(&self, t: &[f64], j: usize, mut total: f64) -> f64 {
+        let m = self.q.len();
+        let mut acc = [-0.0f64; W];
+        for (&x, row) in t.iter().zip(self.coeffs_t.chunks_exact(m)) {
+            let c: &[f64; W] = row[j..j + W].try_into().expect("tile inside the row");
+            for (a, &c) in acc.iter_mut().zip(c) {
+                *a += c * x;
+            }
+        }
+        for (i, f) in (j..j + W).zip(acc) {
+            // `Projection::distance` and `Projection::violation`, verbatim.
+            let dist = (f - self.ub[i]).max(self.lb[i] - f).max(0.0);
+            let v = if dist == 0.0 {
+                0.0
+            } else {
+                1.0 - (-dist / self.sigma[i]).exp()
+            };
+            total += self.q[i] * v;
+        }
+        total
+    }
+}
+
+/// Whether every projection has the same, non-zero width.
+fn uniform_width(projections: &[Projection]) -> bool {
+    let d = projections.first().map_or(0, |p| p.coeffs.len());
+    d > 0 && projections.iter().all(|p| p.coeffs.len() == d)
 }
 
 impl ConstraintSet {
     /// Build a set, normalising the importance weights to sum to 1.
     ///
     /// # Panics
-    /// Panics if `projections` is empty or importances are all non-positive.
+    /// Panics if `projections` is empty, if their coefficient vectors are
+    /// empty or differ in width, or if importances are all non-positive.
     pub fn new(mut projections: Vec<Projection>) -> Self {
         assert!(!projections.is_empty(), "a constraint set cannot be empty");
+        assert!(
+            uniform_width(&projections),
+            "projections must share one non-zero width"
+        );
         let total: f64 = projections.iter().map(|p| p.importance.max(0.0)).sum();
         assert!(total > 0.0, "importance weights must have positive mass");
         for p in &mut projections {
             p.importance = p.importance.max(0.0) / total;
         }
-        Self { projections }
+        Self::from_projections(projections)
+    }
+
+    /// Wrap validated projections, deriving the packed layout.
+    fn from_projections(projections: Vec<Projection>) -> Self {
+        let packed = Packed::new(&projections);
+        Self {
+            projections,
+            packed,
+        }
     }
 
     /// The constraints in this set.
@@ -43,11 +137,31 @@ impl ConstraintSet {
     }
 
     /// Quantitative violation `⟦Φ⟧(t) ∈ [0, 1]` (paper Eq. 1).
+    ///
+    /// Runs over the packed layout in register tiles of 16, then 8, then 1
+    /// projections, and is bit-identical to
+    /// `Σ p.importance * p.violation(t)` summed in projection order.
     pub fn violation(&self, t: &[f64]) -> f64 {
-        self.projections
-            .iter()
-            .map(|p| p.importance * p.violation(t))
-            .sum()
+        let p = &self.packed;
+        let m = p.q.len();
+        debug_assert_eq!(t.len() * m, p.coeffs_t.len());
+        // `Iterator::sum`'s starting value, so a set whose every term is
+        // -0.0 sums to the same bits as the scalar fold.
+        let mut total = -0.0;
+        let mut j = 0;
+        while j + 16 <= m {
+            total = p.fold_tile::<16>(t, j, total);
+            j += 16;
+        }
+        while j + 8 <= m {
+            total = p.fold_tile::<8>(t, j, total);
+            j += 8;
+        }
+        while j < m {
+            total = p.fold_tile::<1>(t, j, total);
+            j += 1;
+        }
+        total
     }
 
     /// Boolean semantics: `Φ(t) = 1` iff every conjunct holds.
@@ -82,6 +196,7 @@ impl ConstraintSet {
                 p.std = std;
             }
         }
+        self.packed = Packed::new(&self.projections);
     }
 
     /// Render each conjunct on its own line (Example 6 style).
@@ -91,6 +206,22 @@ impl ConstraintSet {
             .map(|p| p.display_with(attr_names))
             .collect::<Vec<_>>()
             .join("\n")
+    }
+}
+
+// The packed layout is a function of the projections, so equality and
+// debug output cover the projections alone.
+impl PartialEq for ConstraintSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.projections == other.projections
+    }
+}
+
+impl std::fmt::Debug for ConstraintSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ConstraintSet")
+            .field("projections", &self.projections)
+            .finish()
     }
 }
 
@@ -112,6 +243,11 @@ impl serde::Deserialize for ConstraintSet {
         if projections.is_empty() {
             return Err(serde::Error::msg("a constraint set cannot be empty"));
         }
+        if !uniform_width(&projections) {
+            return Err(serde::Error::msg(
+                "constraint projections must share one non-zero width",
+            ));
+        }
         if projections
             .iter()
             .any(|p| p.importance.is_nan() || p.importance < 0.0)
@@ -120,7 +256,7 @@ impl serde::Deserialize for ConstraintSet {
                 "constraint importances must be non-negative",
             ));
         }
-        Ok(ConstraintSet { projections })
+        Ok(ConstraintSet::from_projections(projections))
     }
 }
 
@@ -265,6 +401,37 @@ mod tests {
     #[should_panic]
     fn empty_set_rejected() {
         let _ = ConstraintSet::new(vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "share one non-zero width")]
+    fn ragged_set_rejected() {
+        let _ = ConstraintSet::new(vec![
+            proj(vec![1.0, 0.0], 0.0, 1.0, 0.1, 1.0),
+            proj(vec![1.0], 0.0, 1.0, 0.1, 1.0),
+        ]);
+    }
+
+    #[test]
+    fn ragged_or_zero_width_documents_are_errors() {
+        use serde::{Deserialize, Serialize};
+        let doc = |projections: Vec<Projection>| {
+            serde::Value::Object(vec![("projections".into(), projections.to_value())])
+        };
+        for projections in [
+            vec![
+                proj(vec![1.0, 0.0], 0.0, 1.0, 0.1, 0.5),
+                proj(vec![1.0], 0.0, 1.0, 0.1, 0.5),
+            ],
+            vec![proj(vec![], 0.0, 1.0, 0.1, 1.0)],
+        ] {
+            let err = ConstraintSet::from_value(&doc(projections)).unwrap_err();
+            assert!(err.to_string().contains("width"), "got: {err}");
+        }
+        let set = ConstraintSet::new(vec![proj(vec![1.0, 2.0], 0.0, 1.0, 0.1, 1.0)]);
+        let back = ConstraintSet::from_value(&set.to_value()).unwrap();
+        assert_eq!(back, set);
+        assert_eq!(back.violation(&[3.0, 1.0]), set.violation(&[3.0, 1.0]));
     }
 
     #[test]

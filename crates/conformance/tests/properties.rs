@@ -5,6 +5,7 @@ use cf_conformance::{
 };
 use cf_linalg::Matrix;
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 fn data_matrix() -> impl Strategy<Value = Matrix> {
     (5usize..60, 1usize..5).prop_flat_map(|(n, d)| {
@@ -89,6 +90,137 @@ proptest! {
         for (s, t) in strict.projections().iter().zip(trimmed.projections()) {
             prop_assert!(t.lb >= s.lb - 1e-9);
             prop_assert!(t.ub <= s.ub + 1e-9);
+        }
+    }
+}
+
+/// The scalar definition `⟦Φ⟧(t) = Σ qᵢ·⟦ϕᵢ⟧(t)`, one projection at a time,
+/// summed in projection order: the reference the packed kernel must match
+/// bit for bit.
+fn scalar_violation(set: &ConstraintSet, t: &[f64]) -> f64 {
+    set.projections()
+        .iter()
+        .map(|p| p.importance * p.violation(t))
+        .sum()
+}
+
+/// Features a probe may carry besides ordinary values.
+const SPECIAL: [f64; 6] = [
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    1e300,
+    -1e300,
+    -0.0,
+];
+
+/// An `n × d` matrix of entries uniform in `(-half_width, half_width)`.
+fn random_matrix(rng: &mut StdRng, n: usize, d: usize, half_width: f64) -> Matrix {
+    let data = (0..n * d)
+        .map(|_| rng.gen_range(-half_width..half_width))
+        .collect();
+    Matrix::from_vec(n, d, data)
+}
+
+/// One constraint set of width `d`, built the way `builder` selects:
+/// 0 = `learn_constraints` (with `m < d` projections half the time),
+/// 1 = `Deserialize::from_value` of arbitrary projections (σ = 0 and zero
+/// importances included), 2 = `learn_constraints` then `recompute_stds`.
+/// Returns the set and the rows it was profiled on.
+fn build_set(d: usize, builder: u8, rng: &mut StdRng) -> (ConstraintSet, Matrix) {
+    let n = d + rng.gen_range(2usize..12);
+    let x = random_matrix(rng, n, d, 50.0);
+    let opts = LearnOptions {
+        bound_quantile: if rng.gen_bool(0.5) { 0.0 } else { 0.2 },
+        max_projections: if rng.gen_bool(0.5) {
+            Some(rng.gen_range(1..=d))
+        } else {
+            None
+        },
+        ..LearnOptions::default()
+    };
+    let set = match builder {
+        0 => learn_constraints(&x, &opts),
+        1 => {
+            let m = rng.gen_range(1usize..=40);
+            // Sometimes every weight is -0.0, so every term is too: the
+            // fold's starting value decides the sign of the total.
+            let all_negative_zero = rng.gen_bool(0.1);
+            let projections: Vec<Projection> = (0..m)
+                .map(|_| Projection {
+                    coeffs: (0..d)
+                        .map(|_| {
+                            if rng.gen_bool(0.1) {
+                                0.0
+                            } else {
+                                rng.gen_range(-2.0..2.0)
+                            }
+                        })
+                        .collect(),
+                    lb: rng.gen_range(-40.0..0.0),
+                    ub: rng.gen_range(0.0..40.0),
+                    std: if rng.gen_bool(0.2) {
+                        0.0
+                    } else {
+                        rng.gen_range(0.01..5.0)
+                    },
+                    importance: match rng.gen_range(0u8..4) {
+                        _ if all_negative_zero => -0.0,
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.gen_range(0.0..1.0),
+                    },
+                })
+                .collect();
+            let doc = serde::Value::Object(vec![(
+                "projections".into(),
+                serde::Serialize::to_value(&projections),
+            )]);
+            <ConstraintSet as serde::Deserialize>::from_value(&doc).expect("well-formed set")
+        }
+        _ => {
+            let mut set = learn_constraints(&x, &opts);
+            set.recompute_stds(&random_matrix(rng, n, d, 200.0));
+            set
+        }
+    };
+    (set, x)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn packed_violation_is_bit_identical_to_scalar(
+        d in 1usize..=40,
+        builder in 0u8..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (set, x) = build_set(d, builder, &mut rng);
+        for probe in 0..24 {
+            // Profiled rows (mostly conforming: the dist = 0 shortcut),
+            // random points, and either with special values mixed in.
+            let mut t: Vec<f64> = if probe % 2 == 0 {
+                x.row(rng.gen_range(0..x.rows())).to_vec()
+            } else {
+                (0..d).map(|_| rng.gen_range(-100.0..100.0)).collect()
+            };
+            if probe % 3 == 0 {
+                for v in t.iter_mut() {
+                    if rng.gen_bool(0.2) {
+                        *v = SPECIAL[rng.gen_range(0..SPECIAL.len())];
+                    }
+                }
+            }
+            let packed = set.violation(&t);
+            let scalar = scalar_violation(&set, &t);
+            prop_assert_eq!(
+                packed.to_bits(),
+                scalar.to_bits(),
+                "d={} m={} builder={} t={:?}: {} vs {}",
+                d, set.len(), builder, t, packed, scalar
+            );
         }
     }
 }

@@ -377,10 +377,10 @@ impl StreamEngine {
     /// and one Page–Hinkley step.
     ///
     /// # Errors
-    /// Batch validation errors (schema, group, label) reject the whole
-    /// batch before anything is ingested. A failed on-alert retrain is
-    /// *not* an `ingest` error: the batch was served and ingested, so its
-    /// outcome is returned with the failure in
+    /// Batch validation errors (schema, non-finite feature, group, label)
+    /// reject the whole batch before anything is ingested. A failed
+    /// on-alert retrain is *not* an `ingest` error: the batch was served
+    /// and ingested, so its outcome is returned with the failure in
     /// [`IngestOutcome::retrain_error`] — failing the call would discard
     /// the served decisions and invite a double-counting retry.
     pub fn ingest(&mut self, batch: &[StreamTuple]) -> Result<IngestOutcome> {
@@ -788,6 +788,15 @@ pub(crate) fn validate_tuple(tuple: &StreamTuple, d: usize, i: usize, groups: us
             "tuple {i} has {} features; the reference schema has {d}",
             tuple.features.len()
         )));
+    }
+    // A branch-free scan vectorises; the offender is located only on failure.
+    if !tuple.features.iter().fold(true, |ok, x| ok & x.is_finite()) {
+        let feature = tuple
+            .features
+            .iter()
+            .position(|x| !x.is_finite())
+            .expect("the scan saw a non-finite feature");
+        return Err(StreamError::NonFinite { tuple: i, feature });
     }
     if usize::from(tuple.group) >= groups {
         return Err(StreamError::BadGroup(tuple.group));

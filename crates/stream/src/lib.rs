@@ -104,6 +104,14 @@ pub enum StreamError {
     BadGroup(u8),
     /// Labels are binary.
     BadLabel(u8),
+    /// A tuple carries a NaN or infinite feature. Conformance distances
+    /// and the retrain path are only defined on finite inputs.
+    NonFinite {
+        /// The tuple's index in its batch.
+        tuple: usize,
+        /// The offending feature's column.
+        feature: usize,
+    },
     /// The batch does not match the reference schema, or dataset assembly
     /// failed.
     Schema(String),
@@ -174,6 +182,12 @@ impl std::fmt::Display for StreamError {
                 write!(f, "group id {g} is outside the configured 0..K cell range")
             }
             StreamError::BadLabel(l) => write!(f, "label {l} is not binary"),
+            StreamError::NonFinite { tuple, feature } => {
+                write!(
+                    f,
+                    "tuple {tuple} has a non-finite value in feature {feature}"
+                )
+            }
             StreamError::Schema(msg) => write!(f, "schema error: {msg}"),
             StreamError::EmptyReference => write!(f, "reference dataset is empty"),
             StreamError::DegenerateWindow(msg) => write!(f, "degenerate window: {msg}"),

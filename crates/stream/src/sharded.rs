@@ -338,10 +338,11 @@ impl ShardedEngine {
     /// are scattered back to the input order.
     ///
     /// # Errors
-    /// The whole batch is validated (shard ids, schema, groups, labels)
-    /// before any shard ingests, so a validation error rejects the batch
-    /// without advancing any engine. A per-shard scoring failure after
-    /// validation surfaces as the first shard's error in shard order.
+    /// The whole batch is validated (shard ids, schema, finite features,
+    /// groups, labels) before any shard ingests, so a validation error
+    /// rejects the batch without advancing any engine. A per-shard scoring
+    /// failure after validation surfaces as the first shard's error in
+    /// shard order.
     pub fn ingest(&mut self, batch: &[ShardedTuple]) -> Result<ShardedOutcome> {
         let n = self.shards.len();
         let d = self.shards[0].schema().len();

@@ -406,6 +406,23 @@ fn internally_inconsistent_checkpoints_are_rejected() {
     ));
 }
 
+/// A profile whose projections disagree on width cannot be packed for the
+/// violation kernel; parsing must reject it as a typed error instead of
+/// indexing out of range.
+#[test]
+fn ragged_profile_is_rejected_at_parse_time() {
+    let json = small_checkpoint().to_json();
+    let at = json.find("\"coeffs\":[").expect("a profiled cell") + "\"coeffs\":[".len();
+    let first = json[at..].find(',').expect("profiles are at least 2 wide");
+    let tampered = format!("{}{}", &json[..at], &json[at + first + 1..]);
+    match EngineCheckpoint::from_json(&tampered) {
+        Err(StreamError::Checkpoint(msg)) => {
+            assert!(msg.contains("width"), "got: {msg}")
+        }
+        other => panic!("expected a typed Checkpoint error, got {other:?}"),
+    }
+}
+
 #[test]
 fn sharded_restore_revalidates_fleet_coherence() {
     let reference = spec(u64::MAX).reference(400, 9);

@@ -6,8 +6,9 @@
 use cf_datasets::stream::{DriftStream, DriftStreamSpec};
 use cf_learners::LearnerKind;
 use cf_stream::{
-    AsyncConfig, AsyncEngine, DriftKind, EngineCheckpoint, RetrainPolicy, ShardedEngine,
-    ShardedTuple, StreamConfig, StreamEngine, StreamError, StreamTuple, CHECKPOINT_VERSION,
+    AsyncConfig, AsyncEngine, DriftKind, EngineCheckpoint, RetrainPolicy, ShardedAsyncEngine,
+    ShardedEngine, ShardedTuple, StreamConfig, StreamEngine, StreamError, StreamTuple,
+    CHECKPOINT_VERSION,
 };
 
 fn spec() -> DriftStreamSpec {
@@ -375,6 +376,97 @@ fn group_beyond_k_is_a_typed_error_at_every_ingest_boundary() {
         Err(StreamError::BadGroup(3))
     ));
     assert_eq!(sharded.snapshot().window_len, 0);
+}
+
+#[test]
+fn non_finite_features_reject_the_batch_at_every_ingest_boundary() {
+    // A NaN would read as conforming (`f64::max` drops it, so its
+    // conformance distance is 0) and would reach the retrain window; an
+    // infinity saturates every projection. Each shell rejects the whole
+    // batch — the finite tuples ahead of the bad one included — and leaves
+    // its checkpoint byte-identical.
+    let reference = spec().reference(2_000, 11);
+    let config = StreamConfig::default();
+    let mut stream = DriftStream::new(spec(), 13);
+    let warm = StreamTuple::rows_from_dataset(&stream.next_batch(200)).unwrap();
+    let bad_batches: Vec<(Vec<StreamTuple>, usize, usize)> =
+        [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+            .into_iter()
+            .enumerate()
+            .map(|(k, bad)| {
+                let mut batch = StreamTuple::rows_from_dataset(&stream.next_batch(8)).unwrap();
+                let (tuple, feature) = (3 + k, k % 2);
+                batch[tuple].features[feature] = bad;
+                (batch, tuple, feature)
+            })
+            .collect();
+    let rejected = |r: Result<(), StreamError>, tuple: usize, feature: usize| {
+        assert_eq!(r, Err(StreamError::NonFinite { tuple, feature }));
+    };
+    let routed = |batch: &[StreamTuple]| -> Vec<ShardedTuple> {
+        batch
+            .iter()
+            .enumerate()
+            .map(|(i, t)| ShardedTuple {
+                shard: (i % 2) as u32,
+                tuple: t.clone(),
+            })
+            .collect()
+    };
+
+    // Sync.
+    let mut sync =
+        StreamEngine::from_reference(&reference, LearnerKind::Logistic, 11, config.clone())
+            .unwrap();
+    sync.ingest(&warm).unwrap();
+    let before = sync.checkpoint().unwrap().to_json();
+    for (batch, tuple, feature) in &bad_batches {
+        rejected(sync.ingest(batch).map(|_| ()), *tuple, *feature);
+    }
+    assert_eq!(sync.checkpoint().unwrap().to_json(), before);
+
+    // Async: rejected at submission, before anything enqueues.
+    let inner = StreamEngine::from_reference(&reference, LearnerKind::Logistic, 11, config.clone())
+        .unwrap();
+    let mut anc = AsyncEngine::from_engine(inner, AsyncConfig::default());
+    anc.ingest(&warm).unwrap();
+    let before = anc.checkpoint().unwrap().to_json();
+    for (batch, tuple, feature) in &bad_batches {
+        rejected(anc.ingest(batch).map(|_| ()), *tuple, *feature);
+        rejected(
+            anc.ingest_owned(batch.clone()).map(|_| ()),
+            *tuple,
+            *feature,
+        );
+    }
+    assert_eq!(anc.checkpoint().unwrap().to_json(), before);
+
+    // Sharded, sync and async routers.
+    let mut sharded =
+        ShardedEngine::from_reference(&reference, LearnerKind::Logistic, 11, config.clone(), 2)
+            .unwrap();
+    sharded.ingest(&routed(&warm)).unwrap();
+    let before = sharded.checkpoint().unwrap().to_json();
+    for (batch, tuple, feature) in &bad_batches {
+        rejected(sharded.ingest(&routed(batch)).map(|_| ()), *tuple, *feature);
+    }
+    assert_eq!(sharded.checkpoint().unwrap().to_json(), before);
+
+    let mut fleet = ShardedAsyncEngine::from_reference(
+        &reference,
+        LearnerKind::Logistic,
+        11,
+        config,
+        2,
+        AsyncConfig::default(),
+    )
+    .unwrap();
+    fleet.ingest(&routed(&warm)).unwrap();
+    let before = fleet.checkpoint().unwrap().to_json();
+    for (batch, tuple, feature) in &bad_batches {
+        rejected(fleet.ingest(&routed(batch)).map(|_| ()), *tuple, *feature);
+    }
+    assert_eq!(fleet.checkpoint().unwrap().to_json(), before);
 }
 
 #[test]
