@@ -14,6 +14,7 @@
 pub mod config;
 pub mod figures;
 pub mod runner;
+pub mod stream_gate;
 pub mod stream_load;
 
 pub use config::ExpConfig;

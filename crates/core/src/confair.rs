@@ -19,7 +19,7 @@ use crate::{
 };
 use cf_conformance::{learn_constraints, ConstraintSet, LearnOptions};
 use cf_data::{CellIndex, Dataset, MAJORITY, MINORITY};
-use cf_density::{density_filter, FilterConfig};
+use cf_density::{densest_in_cell, FilterConfig};
 use cf_learners::LearnerKind;
 
 /// A tuple conforms when its violation is numerically zero.
@@ -249,6 +249,7 @@ pub fn build_profile(
     if n == 0 {
         return Err(CoreError::EmptyPartition("training set".into()));
     }
+    crate::check_finite(train)?;
 
     // ---- line 5: skew-balancing base weights (the KAM term) ----
     let mut base = vec![0.0; n];
@@ -268,29 +269,20 @@ pub fn build_profile(
     // ---- lines 2–4 (+ Algorithm 3): constraints per boosted cell ----
     // Only the cells that can receive a boost need profiling.
     let (cell_u, cell_w) = target.boosted_cells();
-    let filtered: Option<Vec<(CellIndex, Vec<usize>)>> =
-        filter.map(|cfg| density_filter(train, cfg));
-    let profile_cell = |cell: CellIndex| -> Result<Option<(ConstraintSet, Vec<usize>)>> {
+    let profile_cell = |cell: CellIndex| -> Option<(ConstraintSet, Vec<usize>)> {
         let members = train.cell_indices(cell);
         if members.is_empty() {
             // An empty cell simply contributes no boost; the experiments'
             // splits keep cells populated, but tiny datasets may not.
-            return Ok(None);
+            return None;
         }
-        let profile_rows: Vec<usize> = match &filtered {
-            Some(cells) => cells
-                .iter()
-                .find(|(c, _)| *c == cell)
-                .map(|(_, idx)| idx.clone())
-                .unwrap_or_default(),
+        let profile_rows = match filter {
+            Some(cfg) => densest_in_cell(train, cell, cfg),
             None => members.clone(),
         };
-        if profile_rows.is_empty() {
-            return Ok(None);
-        }
         let x = train.numeric_matrix(Some(&profile_rows));
         let constraints = learn_constraints(&x, learn_opts);
-        Ok(Some((constraints, members)))
+        Some((constraints, members))
     };
 
     // ---- lines 6–11: conforming tuples in the boosted cells ----
@@ -307,9 +299,9 @@ pub fn build_profile(
             .collect()
     };
 
-    let boost_u = conforming(profile_cell(cell_u)?);
+    let boost_u = conforming(profile_cell(cell_u));
     let boost_w = match cell_w {
-        Some(cell) => conforming(profile_cell(cell)?),
+        Some(cell) => conforming(profile_cell(cell)),
         None => Vec::new(),
     };
 

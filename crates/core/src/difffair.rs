@@ -14,7 +14,7 @@ use crate::{
 };
 use cf_conformance::{learn_constraints, ConstraintFamily, LearnOptions};
 use cf_data::{encode::labels_as_f64, CellIndex, Dataset, FeatureEncoding, MAJORITY, MINORITY};
-use cf_density::{density_filter, FilterConfig};
+use cf_density::{densest_in_cell, FilterConfig};
 use cf_learners::{Learner, LearnerKind};
 
 /// Configuration for [`DiffFair`].
@@ -164,23 +164,17 @@ impl Intervention for DiffFair {
         if train.is_empty() {
             return Err(CoreError::EmptyPartition("training set".into()));
         }
+        crate::check_finite(train)?;
         // One shared encoding keeps both models in the same feature space.
         let encoding = FeatureEncoding::fit(train);
 
         // ---- lines 4–8: constraints per (group, label) cell ----
-        let filtered: Option<Vec<(CellIndex, Vec<usize>)>> = self
-            .config
-            .density_filter
-            .map(|cfg| density_filter(train, cfg));
+        let filter = self.config.density_filter;
         let mut cc_w = ConstraintFamily::new();
         let mut cc_u = ConstraintFamily::new();
         for cell in CellIndex::binary_cells() {
-            let rows: Vec<usize> = match &filtered {
-                Some(cells) => cells
-                    .iter()
-                    .find(|(c, _)| *c == cell)
-                    .map(|(_, idx)| idx.clone())
-                    .unwrap_or_default(),
+            let rows = match filter {
+                Some(cfg) => densest_in_cell(train, cell, cfg),
                 None => train.cell_indices(cell),
             };
             if rows.is_empty() {
@@ -190,7 +184,7 @@ impl Intervention for DiffFair {
             let mut constraints = learn_constraints(&x, &self.config.learn_opts);
             // Bounds from the dense core; violation scale from the whole
             // cell, so routing stays discriminative away from the core.
-            if filtered.is_some() {
+            if filter.is_some() {
                 let full = train.cell_indices(cell);
                 constraints.recompute_stds(&train.numeric_matrix(Some(&full)));
             }
@@ -223,6 +217,7 @@ mod tests {
     use super::*;
     use cf_data::split::{split3, SplitRatios};
     use cf_datasets::{synthgen::syn_drift_scaled, toy::figure1};
+    use cf_density::density_filter;
     use cf_metrics::GroupConfusion;
 
     #[test]

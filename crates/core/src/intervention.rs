@@ -115,6 +115,8 @@ pub struct SingleModelPredictor {
 impl SingleModelPredictor {
     /// Train `learner` on (optionally weighted) `train` data.
     pub fn fit(train: &Dataset, learner: LearnerKind, weights: Option<&[f64]>) -> Result<Self> {
+        // The encoding would impute a null (NaN) to 0.5 and fit silently.
+        crate::check_finite(train)?;
         let (encoding, x) = FeatureEncoding::fit_transform(train);
         let y = labels_as_f64(train);
         let mut model = learner.build();

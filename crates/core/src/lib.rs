@@ -40,7 +40,7 @@ pub use multimodel::MultiModel;
 pub use pipeline::{evaluate, evaluate_repeated, EvalOutcome, Pipeline};
 pub use tuning::{tune_alpha, TuneResult};
 
-use cf_data::DataError;
+use cf_data::{DataError, Dataset};
 use cf_learners::LearnError;
 
 /// Errors surfaced by interventions and the pipeline.
@@ -53,6 +53,15 @@ pub enum CoreError {
     /// A partition the algorithm requires is empty (e.g. no minority
     /// positives in the training split).
     EmptyPartition(String),
+    /// A numeric training attribute holds NaN or ±inf. Nulls (NaN) must
+    /// be dropped before training: Algorithm 3's density sort and the
+    /// constraint eigen-decomposition have no answer for them.
+    NonFinite {
+        /// Tuple index of the first offending value in that attribute.
+        row: usize,
+        /// Dataset column index of the attribute.
+        feature: usize,
+    },
     /// The requested serving path is not supported by this predictor
     /// (e.g. the group-blind `predict_rows` fast path on a group-routed
     /// model).
@@ -65,6 +74,9 @@ impl std::fmt::Display for CoreError {
             CoreError::Data(e) => write!(f, "data error: {e}"),
             CoreError::Learn(e) => write!(f, "learner error: {e}"),
             CoreError::EmptyPartition(what) => write!(f, "empty partition: {what}"),
+            CoreError::NonFinite { row, feature } => {
+                write!(f, "non-finite value in tuple {row}, attribute {feature}")
+            }
             CoreError::Unsupported(what) => write!(f, "unsupported operation: {what}"),
         }
     }
@@ -82,6 +94,20 @@ impl From<LearnError> for CoreError {
     fn from(e: LearnError) -> Self {
         CoreError::Learn(e)
     }
+}
+
+/// Reject a training set with a NaN or infinite numeric attribute value,
+/// before any profiling or fitting touches it.
+pub(crate) fn check_finite(train: &Dataset) -> Result<()> {
+    for feature in 0..train.num_attributes() {
+        let Some(values) = train.column(feature).as_numeric() else {
+            continue;
+        };
+        if let Some(row) = values.iter().position(|v| !v.is_finite()) {
+            return Err(CoreError::NonFinite { row, feature });
+        }
+    }
+    Ok(())
 }
 
 /// Result alias for this crate.

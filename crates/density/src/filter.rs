@@ -52,39 +52,49 @@ impl FilterConfig {
 /// Run Algorithm 3, returning the retained tuple indices (into `ds`),
 /// grouped per (group, label) cell in [`CellIndex::binary_cells`] order.
 pub fn density_filter(ds: &Dataset, config: FilterConfig) -> Vec<(CellIndex, Vec<usize>)> {
-    let mut kept = Vec::with_capacity(4);
-    for cell in CellIndex::binary_cells() {
-        let members = ds.cell_indices(cell);
-        if members.is_empty() {
-            kept.push((cell, Vec::new()));
-            continue;
-        }
-        let k = ((members.len() as f64) * config.keep_fraction).ceil() as usize;
-        let k = k.clamp(1, members.len());
-        if k == members.len() {
-            kept.push((cell, members));
-            continue;
-        }
-        let x = ds.numeric_matrix(Some(&members));
-        let densities = if members.len() >= config.tree_threshold {
-            TreeKde::fit(&x).self_densities()
-        } else {
-            Kde::fit(&x).self_densities()
-        };
-        // Sort cell members by descending density; ties broken by original
-        // index for determinism.
-        let mut ranked: Vec<usize> = (0..members.len()).collect();
-        ranked.sort_by(|&a, &b| {
-            densities[b]
-                .partial_cmp(&densities[a])
-                .expect("NaN density")
-                .then(members[a].cmp(&members[b]))
-        });
-        let mut chosen: Vec<usize> = ranked[..k].iter().map(|&r| members[r]).collect();
-        chosen.sort_unstable();
-        kept.push((cell, chosen));
+    CellIndex::binary_cells()
+        .into_iter()
+        .map(|cell| (cell, densest_in_cell(ds, cell, config)))
+        .collect()
+}
+
+/// Algorithm 3 for one (group, label) cell: the indices (into `ds`,
+/// ascending) of the cell's densest `⌈keep_fraction·n⌉` members. An empty
+/// cell yields an empty vector. Callers that profile only some cells
+/// (ConFair boosts at most two) call this per cell instead of paying for
+/// all four through [`density_filter`].
+///
+/// # Panics
+/// Panics on non-finite feature values in the cell (the density sort
+/// has no order for NaN); interventions reject such training sets first.
+pub fn densest_in_cell(ds: &Dataset, cell: CellIndex, config: FilterConfig) -> Vec<usize> {
+    let members = ds.cell_indices(cell);
+    if members.is_empty() {
+        return members;
     }
-    kept
+    let k = ((members.len() as f64) * config.keep_fraction).ceil() as usize;
+    let k = k.clamp(1, members.len());
+    if k == members.len() {
+        return members;
+    }
+    let x = ds.numeric_matrix(Some(&members));
+    let densities = if members.len() >= config.tree_threshold {
+        TreeKde::fit(&x).self_densities()
+    } else {
+        Kde::fit(&x).self_densities()
+    };
+    // Sort cell members by descending density; ties broken by original
+    // index for determinism.
+    let mut ranked: Vec<usize> = (0..members.len()).collect();
+    ranked.sort_by(|&a, &b| {
+        densities[b]
+            .partial_cmp(&densities[a])
+            .expect("NaN density")
+            .then(members[a].cmp(&members[b]))
+    });
+    let mut chosen: Vec<usize> = ranked[..k].iter().map(|&r| members[r]).collect();
+    chosen.sort_unstable();
+    chosen
 }
 
 /// Algorithm 3 as a dataset transform: `D′ ⊂ D` with all cells concatenated.

@@ -97,10 +97,29 @@ impl Kde {
 
     /// Densities of the training points themselves (leave-in estimates,
     /// which is what Algorithm 3 ranks by).
+    ///
+    /// One pass over unordered pairs `i < j`: the kernel is symmetric
+    /// (`dist2_sq` is exactly so in IEEE arithmetic, `(x−y)² == (y−x)²`),
+    /// so each value is computed once and added to both sums, halving the
+    /// `exp` calls. Every `sums[i]` still receives its terms in ascending
+    /// partner order from `0.0` — earlier partners from earlier outer
+    /// iterations, then the self term `exp(-0) = 1`, then later partners —
+    /// so the result is bit-identical to [`Kde::densities`] on the
+    /// training matrix.
     pub fn self_densities(&self) -> Vec<f64> {
-        (0..self.points.rows())
-            .map(|i| self.density_standardized(self.points.row(i)))
-            .collect()
+        let n = self.points.rows();
+        let h2 = 2.0 * self.bandwidth * self.bandwidth;
+        let mut sums = vec![0.0; n];
+        for i in 0..n {
+            let pi = self.points.row(i);
+            sums[i] += 1.0;
+            for j in i + 1..n {
+                let k = (-cf_linalg::vector::dist2_sq(self.points.row(j), pi) / h2).exp();
+                sums[i] += k;
+                sums[j] += k;
+            }
+        }
+        sums.into_iter().map(|s| s / self.norm).collect()
     }
 
     /// Borrow the standardised training points (used by [`crate::TreeKde`]).

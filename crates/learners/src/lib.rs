@@ -38,6 +38,13 @@ pub enum LearnError {
     NotFitted,
     /// Weights were invalid (negative or all zero).
     InvalidWeights(String),
+    /// A training feature value was NaN or infinite.
+    NonFinite {
+        /// Row of the first offending value.
+        row: usize,
+        /// Feature (column) of that value.
+        feature: usize,
+    },
 }
 
 impl std::fmt::Display for LearnError {
@@ -47,6 +54,9 @@ impl std::fmt::Display for LearnError {
             LearnError::EmptyTrainingSet => write!(f, "empty training set"),
             LearnError::NotFitted => write!(f, "model has not been fitted"),
             LearnError::InvalidWeights(msg) => write!(f, "invalid weights: {msg}"),
+            LearnError::NonFinite { row, feature } => {
+                write!(f, "non-finite value in row {row}, feature {feature}")
+            }
         }
     }
 }
@@ -167,6 +177,15 @@ pub(crate) fn validate_fit_inputs(
             y.len(),
             x.rows()
         )));
+    }
+    // A NaN would panic the GBT split sort and silently poison the
+    // logistic gradient, so it never reaches either fit.
+    if let Some((row, feature)) = x
+        .iter_rows()
+        .enumerate()
+        .find_map(|(i, r)| r.iter().position(|v| !v.is_finite()).map(|j| (i, j)))
+    {
+        return Err(LearnError::NonFinite { row, feature });
     }
     let w = match weights {
         Some(w) => {

@@ -196,3 +196,25 @@ proptest! {
         }
     }
 }
+
+#[test]
+fn non_finite_features_are_a_typed_fit_error() {
+    // Without the check, GBT's split sort panics on the NaN and logistic
+    // regression fits NaN coefficients without complaint.
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let x = Matrix::from_rows(&[
+            vec![0.0, 1.0],
+            vec![1.0, 0.5],
+            vec![2.0, bad],
+            vec![3.0, 0.0],
+        ]);
+        let y = [0.0, 1.0, 0.0, 1.0];
+        let want = Err(cf_learners::LearnError::NonFinite { row: 2, feature: 1 });
+        let mut lr = LogisticRegression::default();
+        assert_eq!(lr.fit(&x, &y, None), want, "logistic, {bad}");
+        assert!(!lr.is_fitted());
+        let mut gbt = Gbt::new(GbtConfig::default());
+        assert_eq!(gbt.fit(&x, &y, None), want, "gbt, {bad}");
+        assert!(!gbt.is_fitted());
+    }
+}
