@@ -13,7 +13,7 @@
 //!    on a bounded queue, return the decisions. No monitoring work, no
 //!    locks around the model parameters — the scorer owns its predictor
 //!    outright and replacement models arrive through an atomically-swapped
-//!    single-slot mailbox (arc-swap-style; see `ModelSlot` in the source).
+//!    single-slot mailbox (arc-swap-style; see `Slot` in the source).
 //! 2. **Monitor thread** (single consumer): drains the queue in order,
 //!    folds each record into the window/detectors, appends alerts, runs
 //!    on-alert retrains, and publishes refreshed state — fairness
@@ -35,7 +35,8 @@
 //! counters tell operators which trade they are living with.
 
 use crate::engine::{
-    checkpoint_from_parts, validate_tuple, LabelFeedback, StreamConfig, StreamEngine, StreamTuple,
+    checkpoint_from_parts, validate_batch, validate_feedback, LabelFeedback, StreamConfig,
+    StreamEngine, StreamTuple,
 };
 use crate::monitor::{FairnessSnapshot, Monitor};
 use crate::repair::{RepairTier, RepairUpdate};
@@ -49,6 +50,7 @@ use cf_learners::LearnerKind;
 use cf_telemetry::{DropEvent, MetricsRegistry, MonitorRestartEvent, SharedSink, TelemetryEvent};
 use confair_core::Predictor;
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -74,8 +76,8 @@ pub enum BackpressurePolicy {
 pub struct AsyncConfig {
     /// Maximum `(tuples, decisions)` records the queue holds before the
     /// backpressure policy applies. Control messages (flush barriers,
-    /// checkpoint requests, shutdown) never count against the depth and
-    /// are never dropped.
+    /// label feedback, shutdown) never count against the depth and are
+    /// never dropped.
     pub queue_depth: usize,
     /// What to do when the queue is full.
     pub backpressure: BackpressurePolicy,
@@ -130,9 +132,6 @@ enum MonitorMsg {
     /// Barrier: acknowledged only after every record enqueued before it
     /// has been fully processed (including any retrain it triggered).
     Flush(mpsc::Sender<()>),
-    /// Quiescent-point state request: answered with a coherent clone of
-    /// the monitor half.
-    Checkpoint(mpsc::Sender<Box<Monitor>>),
     /// Install (`Some`) or remove (`None`) the monitor's telemetry sink —
     /// a control-plane record so the change lands in FIFO order with the
     /// records around it.
@@ -154,7 +153,7 @@ enum MonitorMsg {
 /// switch it just paid to avoid. Instead the monitor polls on a short
 /// timed wait ([`POLL_INTERVAL`]) and drains everything queued per wake —
 /// bounded extra lag, amortised switches. Control messages (flush,
-/// checkpoint, shutdown) and `not_full` transitions signal immediately,
+/// shutdown) and `not_full` transitions signal immediately,
 /// because somebody is provably waiting on them.
 struct BoundedQueue {
     inner: Mutex<QueueInner>,
@@ -329,77 +328,37 @@ impl BoundedQueue {
     }
 }
 
-/// Arc-swap-style single-slot mailbox for replacement predictors: the
-/// monitor thread publishes with one atomic swap, the score path takes
-/// with one atomic swap — no locks on either side, and an unconsumed
-/// older model is simply superseded (latest wins).
-struct ModelSlot {
-    /// Owning pointer to a heap-allocated `Box<dyn Predictor>` (double
-    /// boxed so the atomic cell is a thin pointer), or null when empty.
-    ptr: AtomicPtr<Box<dyn Predictor>>,
-}
-
-impl ModelSlot {
-    fn empty() -> Self {
-        ModelSlot {
-            ptr: AtomicPtr::new(std::ptr::null_mut()),
-        }
-    }
-
-    /// Publish a replacement model, dropping any unconsumed predecessor.
-    fn publish(&self, model: Box<dyn Predictor>) {
-        let raw = Box::into_raw(Box::new(model));
-        let old = self.ptr.swap(raw, Ordering::AcqRel);
-        if !old.is_null() {
-            // SAFETY: `old` came from `Box::into_raw` in a previous
-            // `publish` and the swap above made this thread its only
-            // owner.
-            drop(unsafe { Box::from_raw(old) });
-        }
-    }
-
-    /// Take the pending model, if any (score path; wait-free).
-    fn take(&self) -> Option<Box<dyn Predictor>> {
-        let raw = self.ptr.swap(std::ptr::null_mut(), Ordering::AcqRel);
-        if raw.is_null() {
-            None
-        } else {
-            // SAFETY: `raw` came from `Box::into_raw` in `publish` and the
-            // swap above made this thread its only owner.
-            Some(*unsafe { Box::from_raw(raw) })
-        }
-    }
-}
-
-impl Drop for ModelSlot {
-    fn drop(&mut self) {
-        let raw = *self.ptr.get_mut();
-        if !raw.is_null() {
-            // SAFETY: exclusive access in `drop`; the pointer was produced
-            // by `Box::into_raw` and never freed (it is still in the slot).
-            drop(unsafe { Box::from_raw(raw) });
-        }
-    }
-}
-
-/// The same latest-wins mailbox, for repair-ladder publications. Safe to
-/// collapse intermediate updates because a [`RepairUpdate`] carries
+/// Arc-swap-style single-slot mailbox from the monitor thread to the
+/// score path: the monitor publishes with one atomic swap, the score path
+/// takes with one atomic swap — no locks on either side, and an
+/// unconsumed older value is simply superseded (latest wins). Carries
+/// replacement predictors and repair-ladder updates; collapsing
+/// intermediate updates is safe because a [`RepairUpdate`] carries
 /// *absolute* state (full threshold vector, full projection profiles),
 /// never deltas.
-struct RepairSlot {
-    ptr: AtomicPtr<RepairUpdate>,
+struct Slot<T> {
+    /// Owning pointer to a heap-allocated `T` (boxed so the atomic cell is
+    /// a thin pointer even for a `Box<dyn Predictor>`), or null when
+    /// empty.
+    ptr: AtomicPtr<T>,
+    /// The slot owns a `T` that one thread publishes and another takes or
+    /// drops, so it may be shared across threads only when `T: Send` —
+    /// `Mutex<T>`'s auto traits. `AtomicPtr<T>` alone is `Send + Sync`
+    /// for every `T`.
+    owns: PhantomData<Mutex<T>>,
 }
 
-impl RepairSlot {
+impl<T> Slot<T> {
     fn empty() -> Self {
-        RepairSlot {
+        Slot {
             ptr: AtomicPtr::new(std::ptr::null_mut()),
+            owns: PhantomData,
         }
     }
 
-    /// Publish a repair-state update, dropping any unconsumed predecessor.
-    fn publish(&self, update: RepairUpdate) {
-        let raw = Box::into_raw(Box::new(update));
+    /// Publish a value, dropping any unconsumed predecessor.
+    fn publish(&self, value: T) {
+        let raw = Box::into_raw(Box::new(value));
         let old = self.ptr.swap(raw, Ordering::AcqRel);
         if !old.is_null() {
             // SAFETY: `old` came from `Box::into_raw` in a previous
@@ -409,8 +368,8 @@ impl RepairSlot {
         }
     }
 
-    /// Take the pending update, if any (score path; wait-free).
-    fn take(&self) -> Option<RepairUpdate> {
+    /// Take the pending value, if any (score path; wait-free).
+    fn take(&self) -> Option<T> {
         let raw = self.ptr.swap(std::ptr::null_mut(), Ordering::AcqRel);
         if raw.is_null() {
             None
@@ -422,7 +381,7 @@ impl RepairSlot {
     }
 }
 
-impl Drop for RepairSlot {
+impl<T> Drop for Slot<T> {
     fn drop(&mut self) {
         let raw = *self.ptr.get_mut();
         if !raw.is_null() {
@@ -436,9 +395,12 @@ impl Drop for RepairSlot {
 /// The monitor thread's published view, refreshed after every processed
 /// record. Read under a short mutex by the observability accessors — never
 /// by the score path.
+#[derive(Default)]
 struct PublishedState {
-    snapshot: FairnessSnapshot,
+    /// The window counters and degraded flag the published snapshot is
+    /// rebuilt from (see [`AsyncEngine::snapshot`]).
     counts: Vec<GroupCounts>,
+    degraded: bool,
     window_len: usize,
     seen: u64,
     retrains: u64,
@@ -471,17 +433,27 @@ struct PublishedState {
 const RETRAIN_ERROR_CAP: usize = 32;
 
 impl PublishedState {
-    /// Reset the monitoring view to a recovery clone's state (the dead
-    /// incarnation's unpublished progress is part of the gap). Cumulative
-    /// operational history — retrain errors/failures, the monitor-error
-    /// diagnostic — is deliberately kept: those events really happened.
-    fn reset_from(&mut self, monitor: &Monitor) {
-        self.snapshot = monitor.snapshot();
-        self.counts = monitor.window_counts().to_vec();
+    /// Re-read the monitoring view from `monitor`'s *current* state — at
+    /// construction, after every processed record or feedback message
+    /// (so a retrain that ran inside `observe` is already reflected), and
+    /// on a respawn, where it resets the view to the recovery clone (the
+    /// dead incarnation's unpublished progress is part of the gap).
+    /// Cumulative operational history — retrain errors/failures, the
+    /// monitor-error diagnostic — is deliberately kept: those events
+    /// really happened.
+    fn refresh(&mut self, monitor: &Monitor) {
+        self.counts.clear();
+        self.counts.extend_from_slice(monitor.window_counts());
+        self.degraded = monitor.is_degraded();
         self.window_len = monitor.window_len();
         self.seen = monitor.tuples_seen();
         self.retrains = monitor.retrain_count();
-        self.alerts = monitor.alerts().to_vec();
+        // The monitor's log is append-only, and a recovery clone's log is
+        // a prefix of the published one (same lineage, older point), so
+        // only the unseen tail is copied.
+        let log = monitor.alerts();
+        self.alerts.truncate(log.len());
+        self.alerts.extend_from_slice(&log[self.alerts.len()..]);
         self.joins = monitor.join_stats();
         self.pending_labels = monitor.pending_labels();
         self.repair_tier = monitor.repair_tier();
@@ -515,8 +487,8 @@ struct Supervision {
 /// Everything the two sides share.
 struct Shared {
     queue: BoundedQueue,
-    model: ModelSlot,
-    repair: RepairSlot,
+    model: Slot<Box<dyn Predictor>>,
+    repair: Slot<RepairUpdate>,
     stats: Mutex<PublishedState>,
     sup: Mutex<Supervision>,
     /// Records between recovery-clone refreshes on the monitor thread.
@@ -527,6 +499,40 @@ struct Shared {
     /// starts at zero from engine construction (drops racing ahead of a
     /// freshly spawned thread's first poll are still diffed and emitted).
     dropped_reported: Mutex<DropCounters>,
+}
+
+impl Shared {
+    /// Fold one processed message into the published view (monitor
+    /// thread): the refreshed state on success, plus the episode's error
+    /// if its repair failed; the first monitoring failure otherwise.
+    fn publish(&self, monitor: &Monitor, result: Result<Option<StreamError>>) {
+        let mut stats = self.stats.lock().expect("stats mutex poisoned");
+        match result {
+            Ok(retrain_error) => {
+                stats.refresh(monitor);
+                if let Some(e) = retrain_error {
+                    if stats.retrain_errors.len() == RETRAIN_ERROR_CAP {
+                        stats.retrain_errors.pop_front();
+                    }
+                    stats.retrain_errors.push_back(e);
+                    stats.retrain_failures += 1;
+                }
+            }
+            Err(e) => {
+                stats.monitor_error.get_or_insert(e);
+            }
+        }
+    }
+
+    /// Make `monitor`'s current state the supervisor's respawn point
+    /// (monitor thread; the clone is taken before the lock).
+    fn save_recovery(&self, monitor: &Monitor) {
+        let clone = Box::new(monitor.clone());
+        self.sup
+            .lock()
+            .expect("supervision mutex poisoned")
+            .recovery = Some(clone);
+    }
 }
 
 /// The asynchronous serving engine: `ingest` returns decisions straight
@@ -618,24 +624,13 @@ impl AsyncEngine {
         // an engine that dropped records under earlier backpressure has
         // issued more ids than it monitored).
         let scored = monitor.ids_issued();
+        let mut stats = PublishedState::default();
+        stats.refresh(&monitor);
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(async_config.queue_depth),
-            model: ModelSlot::empty(),
-            repair: RepairSlot::empty(),
-            stats: Mutex::new(PublishedState {
-                snapshot: monitor.snapshot(),
-                counts: monitor.window_counts().to_vec(),
-                window_len: monitor.window_len(),
-                seen: monitor.tuples_seen(),
-                retrains: monitor.retrain_count(),
-                alerts: monitor.alerts().to_vec(),
-                retrain_errors: VecDeque::new(),
-                retrain_failures: 0,
-                monitor_error: None,
-                joins: monitor.join_stats(),
-                pending_labels: monitor.pending_labels(),
-                repair_tier: monitor.repair_tier(),
-            }),
+            model: Slot::empty(),
+            repair: Slot::empty(),
+            stats: Mutex::new(stats),
             sup: Mutex::new(Supervision {
                 // Seed the recovery clone *before* the first spawn, so a
                 // monitor that dies on its very first record is still
@@ -777,23 +772,23 @@ impl AsyncEngine {
     /// during the restart window are accounted as a monitoring gap
     /// ([`AsyncEngine::monitor_gap_tuples`]).
     pub fn ingest(&mut self, batch: &[StreamTuple]) -> Result<Vec<u8>> {
-        let d = self.scorer().schema().len();
-        let groups = self.stream_config.groups;
-        for (i, t) in batch.iter().enumerate() {
-            validate_tuple(t, d, i, groups)?;
-        }
+        self.validate(batch)?;
         self.ingest_prevalidated_owned(batch.to_vec())
     }
 
     /// [`AsyncEngine::ingest`] without the queue-bound copy: the batch is
     /// moved onto the queue after scoring.
     pub fn ingest_owned(&mut self, batch: Vec<StreamTuple>) -> Result<Vec<u8>> {
-        let d = self.scorer().schema().len();
-        let groups = self.stream_config.groups;
-        for (i, t) in batch.iter().enumerate() {
-            validate_tuple(t, d, i, groups)?;
-        }
+        self.validate(&batch)?;
         self.ingest_prevalidated_owned(batch)
+    }
+
+    fn validate(&self, batch: &[StreamTuple]) -> Result<()> {
+        validate_batch(
+            batch.iter().map(Ok),
+            self.schema().len(),
+            self.stream_config.groups,
+        )
     }
 
     /// Score + enqueue after validation (shared with the sharded router,
@@ -801,16 +796,7 @@ impl AsyncEngine {
     pub(crate) fn ingest_prevalidated_owned(&mut self, batch: Vec<StreamTuple>) -> Result<Vec<u8>> {
         self.supervise(false)?;
         let started = self.metrics.as_ref().map(|_| std::time::Instant::now());
-        // Pick up a pending retrain before scoring: one wait-free atomic
-        // swap, no lock around the model parameters. Repair-ladder
-        // publications (threshold nudges, projection installs) arrive the
-        // same way.
-        if let Some(model) = self.shared.model.take() {
-            self.scorer_mut().install(model);
-        }
-        if let Some(update) = self.shared.repair.take() {
-            self.scorer_mut().apply_repair(update);
-        }
+        self.install_published();
         let decisions = self.scorer_mut().score(&batch)?;
         if batch.is_empty() {
             // Nothing to monitor; the sync engine's empty ingest is a
@@ -874,15 +860,7 @@ impl AsyncEngine {
     pub fn feedback(&mut self, feedback: &[LabelFeedback]) -> Result<()> {
         self.supervise(false)?;
         for record in feedback {
-            if record.label >= 2 {
-                return Err(StreamError::BadLabel(record.label));
-            }
-            if record.id >= self.scored {
-                return Err(StreamError::FutureFeedback {
-                    id: record.id,
-                    issued: self.scored,
-                });
-            }
+            validate_feedback(record, self.scored)?;
         }
         if feedback.is_empty() {
             return Ok(());
@@ -912,35 +890,38 @@ impl AsyncEngine {
             // A dead consumer leaves the un-acked barrier in the queue;
             // the respawned one (next iteration) acks it into a dropped
             // receiver, which is harmless.
-            if self.recv_from_monitor(&ack_rx, "flush").is_ok() {
+            if self.acked(&ack_rx) {
                 break;
             }
         }
+        self.install_published();
+        self.refresh_serving_metrics();
+        Ok(())
+    }
+
+    /// Pick up whatever the monitor published — a retrained model, a
+    /// repair-ladder update (threshold nudges, projection installs) — with
+    /// one wait-free atomic swap per slot, no lock around the model
+    /// parameters.
+    fn install_published(&mut self) {
         if let Some(model) = self.shared.model.take() {
             self.scorer_mut().install(model);
         }
         if let Some(update) = self.shared.repair.take() {
             self.scorer_mut().apply_repair(update);
         }
-        self.refresh_serving_metrics();
-        Ok(())
     }
 
-    /// Wait for the monitor thread's reply to a control message, bailing
-    /// out with a typed error if the thread dies first. A plain `recv()`
-    /// would hang: the un-acked sender sits *inside* the engine-held
-    /// queue, so it is never dropped when the consumer is gone.
-    fn recv_from_monitor<T>(&self, rx: &mpsc::Receiver<T>, during: &str) -> Result<T> {
-        let dead = || StreamError::Async(format!("monitor thread terminated during {during}"));
+    /// Wait for the monitor thread's flush ack: `false` if the thread
+    /// dies first. A plain `recv()` would hang: the un-acked sender sits
+    /// *inside* the engine-held queue, so it is never dropped when the
+    /// consumer is gone.
+    fn acked(&self, rx: &mpsc::Receiver<()>) -> bool {
         loop {
             match rx.recv_timeout(POLL_INTERVAL) {
-                Ok(value) => return Ok(value),
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if self.shared.queue.is_closed() {
-                        return Err(dead());
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => return Err(dead()),
+                Ok(()) => return true,
+                Err(mpsc::RecvTimeoutError::Timeout) if !self.shared.queue.is_closed() => {}
+                Err(_) => return false,
             }
         }
     }
@@ -950,30 +931,30 @@ impl AsyncEngine {
     /// [`StreamEngine::checkpoint`] writes, so sync and async engines
     /// restore each other's checkpoints interchangeably.
     ///
-    /// The flush-first contract is what keeps restores bit-identical: no
-    /// record is in flight when the monitor clone is taken, so the
-    /// document never captures a window the scorer is ahead of.
+    /// The flush-first contract is what keeps restores bit-identical: the
+    /// flush barrier refreshes the supervisor's recovery clone once every
+    /// earlier record is processed, and `&mut self` keeps anything from
+    /// being enqueued behind it, so that clone *is* the monitor's state at
+    /// the quiescent point — the document never captures a window the
+    /// scorer is ahead of.
     ///
     /// # Errors
     /// [`StreamError::Async`] when the monitor thread is gone;
     /// [`StreamError::Checkpoint`] when the predictor does not support
     /// serialisation.
     pub fn checkpoint(&mut self) -> Result<EngineCheckpoint> {
-        let monitor = loop {
-            self.flush()?;
-            let (tx, rx) = mpsc::channel();
-            self.shared.queue.push_control(MonitorMsg::Checkpoint(tx));
-            // A death between the flush ack and the state reply re-runs
-            // both (each death bounded by the restart budget).
-            if let Ok(monitor) = self.recv_from_monitor(&rx, "checkpoint") {
-                break monitor;
-            }
-        };
-        // The clone shares the live monitor's sink (it is an `Arc`), so
-        // the `"taken"` marker lands on the same trail — at the quiescent
-        // point the flush above established.
-        monitor.emit(crate::checkpoint::checkpoint_event(&monitor, "taken"));
-        checkpoint_from_parts(self.scorer(), &monitor)
+        self.flush()?;
+        self.sup(|sup| {
+            let monitor = sup
+                .recovery
+                .as_ref()
+                .expect("recovery clone is seeded before the first spawn");
+            // The clone shares the live monitor's sink (it is an `Arc`), so
+            // the `"taken"` marker lands on the same trail — at the
+            // quiescent point the flush above established.
+            monitor.emit(crate::checkpoint::checkpoint_event(monitor, "taken"));
+            checkpoint_from_parts(self.scorer(), monitor)
+        })
     }
 
     /// Shut the pipeline down and reunite the halves into a synchronous
@@ -1042,7 +1023,14 @@ impl AsyncEngine {
     /// The monitor's latest published fairness reading. Lags the scorer by
     /// at most the queue backlog; current after a [`AsyncEngine::flush`].
     pub fn snapshot(&self) -> FairnessSnapshot {
-        self.stats(|s| s.snapshot.clone())
+        // Rebuilt through `Monitor::snapshot`'s own arithmetic, so it is
+        // byte-identical to the monitor's reading at publication.
+        self.stats(|s| {
+            let mut snapshot =
+                FairnessSnapshot::from_counts(&s.counts, self.stream_config.di_floor);
+            snapshot.degraded = s.degraded;
+            snapshot
+        })
     }
 
     /// The monitor's latest published per-cell window counters
@@ -1088,7 +1076,7 @@ impl AsyncEngine {
     /// mode (a repair episode exhausted its budget; the stale model
     /// keeps serving). Current after a [`AsyncEngine::flush`].
     pub fn is_degraded(&self) -> bool {
-        self.stats(|s| s.snapshot.degraded)
+        self.stats(|s| s.degraded)
     }
 
     /// The rung of the open repair-ladder episode per the monitor's
@@ -1144,6 +1132,10 @@ impl AsyncEngine {
 
     fn stats<R>(&self, read: impl FnOnce(&PublishedState) -> R) -> R {
         read(&self.shared.stats.lock().expect("stats mutex poisoned"))
+    }
+
+    fn sup<R>(&self, read: impl FnOnce(&Supervision) -> R) -> R {
+        read(&self.shared.sup.lock().expect("supervision mutex poisoned"))
     }
 
     /// The supervisor: make sure a monitor thread is (or will be) running.
@@ -1234,10 +1226,11 @@ impl AsyncEngine {
         let restarts = sup.restarts;
         let gap_total = sup.gap_tuples;
         drop(sup);
-        {
-            let mut stats = self.shared.stats.lock().expect("stats mutex poisoned");
-            stats.reset_from(&monitor);
-        }
+        self.shared
+            .stats
+            .lock()
+            .expect("stats mutex poisoned")
+            .refresh(&monitor);
         // The restart marker lands before the respawned thread processes
         // anything (the dead consumer is reaped, so nothing else emits),
         // carrying the clone's absolute counters — the same re-anchor
@@ -1266,31 +1259,19 @@ impl AsyncEngine {
     /// [`ShardHealth::Dead`] — permanently — once the restart budget is
     /// exhausted.
     pub fn health(&self) -> ShardHealth {
-        self.shared
-            .sup
-            .lock()
-            .expect("supervision mutex poisoned")
-            .health
+        self.sup(|sup| sup.health)
     }
 
     /// Times the supervisor respawned a dead monitor thread.
     pub fn monitor_restarts(&self) -> u64 {
-        self.shared
-            .sup
-            .lock()
-            .expect("supervision mutex poisoned")
-            .restarts
+        self.sup(|sup| sup.restarts)
     }
 
     /// Cumulative tuples scored but never monitored because they fell
     /// into a monitor-death gap. Every one of them is accounted in the
     /// audit trail by a `monitor_restart` event's `gap_tuples`.
     pub fn monitor_gap_tuples(&self) -> u64 {
-        self.shared
-            .sup
-            .lock()
-            .expect("supervision mutex poisoned")
-            .gap_tuples
+        self.sup(|sup| sup.gap_tuples)
     }
 }
 
@@ -1380,73 +1361,33 @@ fn monitor_loop(mut monitor: Monitor, shared: &Shared) -> Monitor {
                 // that invisible to serving.
                 #[cfg(feature = "fault-injection")]
                 monitor.observe_failpoint();
-                match monitor.observe_with_ids(&tuples, &decisions, first_id) {
-                    Ok(outcome) => {
-                        if let Some(model) = outcome.model {
-                            shared.model.publish(model);
-                            // The swap slot is the async engine's publication
-                            // point, so the swap event is emitted here — after
-                            // repair_end, exactly as the sync engine orders it.
-                            monitor.emit_model_swap();
-                        }
-                        if let Some(update) = outcome.repair {
-                            shared.repair.publish(update);
-                        }
-                        let mut stats = shared.stats.lock().expect("stats mutex poisoned");
-                        stats.snapshot = outcome.snapshot;
-                        stats.counts = monitor.window_counts().to_vec();
-                        stats.window_len = monitor.window_len();
-                        stats.seen = monitor.tuples_seen();
-                        stats.retrains = monitor.retrain_count();
-                        stats.alerts.extend_from_slice(&outcome.alerts);
-                        stats.joins = monitor.join_stats();
-                        stats.pending_labels = monitor.pending_labels();
-                        stats.repair_tier = monitor.repair_tier();
-                        if let Some(e) = outcome.retrain_error {
-                            if stats.retrain_errors.len() == RETRAIN_ERROR_CAP {
-                                stats.retrain_errors.pop_front();
-                            }
-                            stats.retrain_errors.push_back(e);
-                            stats.retrain_failures += 1;
-                        }
+                let observed = monitor.observe_with_ids(&tuples, &decisions, first_id);
+                let result = observed.map(|outcome| {
+                    if let Some(model) = outcome.model {
+                        shared.model.publish(model);
+                        // The swap slot is the async engine's publication
+                        // point, so the swap event is emitted here — after
+                        // repair_end, exactly as the sync engine orders it.
+                        monitor.emit_model_swap();
                     }
-                    Err(e) => {
-                        let mut stats = shared.stats.lock().expect("stats mutex poisoned");
-                        if stats.monitor_error.is_none() {
-                            stats.monitor_error = Some(e);
-                        }
+                    if let Some(update) = outcome.repair {
+                        shared.repair.publish(update);
                     }
-                }
+                    outcome.retrain_error
+                });
+                shared.publish(&monitor, result);
                 since_clone += 1;
                 if since_clone >= shared.clone_every {
                     since_clone = 0;
-                    let clone = Box::new(monitor.clone());
-                    shared
-                        .sup
-                        .lock()
-                        .expect("supervision mutex poisoned")
-                        .recovery = Some(clone);
+                    shared.save_recovery(&monitor);
                 }
             }
             MonitorMsg::Feedback(records) => {
                 // Ids in a dropped record's range resolve as unmatched
                 // inside the join, so validated feedback cannot fail here
                 // except through the should-never-happen diagnostic path.
-                match monitor.feedback(&records) {
-                    Ok(outcome) => {
-                        let mut stats = shared.stats.lock().expect("stats mutex poisoned");
-                        stats.snapshot = outcome.snapshot;
-                        stats.counts = monitor.window_counts().to_vec();
-                        stats.joins = monitor.join_stats();
-                        stats.pending_labels = monitor.pending_labels();
-                    }
-                    Err(e) => {
-                        let mut stats = shared.stats.lock().expect("stats mutex poisoned");
-                        if stats.monitor_error.is_none() {
-                            stats.monitor_error = Some(e);
-                        }
-                    }
-                }
+                let result = monitor.feedback(&records).map(|_| None);
+                shared.publish(&monitor, result);
             }
             MonitorMsg::Flush(ack) => {
                 // Everything enqueued before the barrier has been
@@ -1456,15 +1397,8 @@ fn monitor_loop(mut monitor: Monitor, shared: &Shared) -> Monitor {
                 // point. The ack's receiver may have given up — that is
                 // its business.
                 since_clone = 0;
-                shared
-                    .sup
-                    .lock()
-                    .expect("supervision mutex poisoned")
-                    .recovery = Some(Box::new(monitor.clone()));
+                shared.save_recovery(&monitor);
                 let _ = ack.send(());
-            }
-            MonitorMsg::Checkpoint(tx) => {
-                let _ = tx.send(Box::new(monitor.clone()));
             }
             MonitorMsg::SetSink(sink) => monitor.sink = sink,
             MonitorMsg::SetMetrics(metrics) => monitor.set_metrics(metrics),
@@ -1498,7 +1432,7 @@ mod tests {
                 Ok(vec![self.0; x.rows()])
             }
         }
-        let slot = ModelSlot::empty();
+        let slot: Slot<Box<dyn Predictor>> = Slot::empty();
         assert!(slot.take().is_none());
         slot.publish(Box::new(Dummy(1)));
         slot.publish(Box::new(Dummy(2)));
@@ -1506,9 +1440,47 @@ mod tests {
         let x = cf_linalg::Matrix::zeros(1, 1);
         assert_eq!(taken.predict_rows(&x).unwrap(), vec![2], "latest wins");
         assert!(slot.take().is_none(), "take empties the slot");
-        // Leave one unconsumed for Drop to free (checked by miri-less
-        // best effort: no double free / leak under normal test run).
+        // Leave one unconsumed for Drop to free (the exactly-once drop
+        // accounting is pinned by `slot_drops_every_value_exactly_once`).
         slot.publish(Box::new(Dummy(3)));
+    }
+
+    #[test]
+    fn slot_drops_every_value_exactly_once() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        struct Counted(Rc<Cell<u32>>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.set(self.0.get() + 1);
+            }
+        }
+        let drops = Rc::new(Cell::new(0));
+        let slot = Slot::empty();
+        slot.publish(Counted(Rc::clone(&drops)));
+        slot.publish(Counted(Rc::clone(&drops)));
+        assert_eq!(drops.get(), 1, "the superseded value is dropped on publish");
+        let taken = slot.take().expect("a value is pending");
+        assert_eq!(
+            drops.get(),
+            1,
+            "take hands the value out without dropping it"
+        );
+        drop(taken);
+        assert_eq!(
+            drops.get(),
+            2,
+            "the taken value is dropped by its new owner"
+        );
+        assert!(slot.take().is_none());
+        slot.publish(Counted(Rc::clone(&drops)));
+        drop(slot);
+        assert_eq!(
+            drops.get(),
+            3,
+            "a value left in the slot is dropped with it"
+        );
+        assert_eq!(Rc::strong_count(&drops), 1, "no value leaked");
     }
 
     #[test]

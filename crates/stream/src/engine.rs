@@ -384,39 +384,22 @@ impl StreamEngine {
     /// [`IngestOutcome::retrain_error`] — failing the call would discard
     /// the served decisions and invite a double-counting retry.
     pub fn ingest(&mut self, batch: &[StreamTuple]) -> Result<IngestOutcome> {
-        let d = self.monitor.schema().len();
-        let groups = self.monitor.config().groups;
-        for (i, t) in batch.iter().enumerate() {
-            validate_tuple(t, d, i, groups)?;
-        }
-        self.ingest_prevalidated(batch)
-    }
-
-    /// The sharded router's entry point: it has already validated the
-    /// whole mixed batch (for whole-batch rejection semantics), so the
-    /// per-shard ingest must not re-scan every tuple.
-    pub(crate) fn ingest_refs_prevalidated(
-        &mut self,
-        batch: &[&StreamTuple],
-    ) -> Result<IngestOutcome> {
-        self.ingest_prevalidated(batch)
-    }
-
-    /// The sharded router's single-shard fast path: a one-shard fleet's
-    /// routed batch already *is* this engine's batch in arrival order, so
-    /// it ingests straight off the `ShardedTuple` slice (via its
-    /// `Borrow<StreamTuple>` view) with no per-tuple gather at all.
-    pub(crate) fn ingest_routed_prevalidated(
-        &mut self,
-        batch: &[crate::sharded::ShardedTuple],
-    ) -> Result<IngestOutcome> {
+        validate_batch(
+            batch.iter().map(Ok),
+            self.schema().len(),
+            self.config().groups,
+        )?;
         self.ingest_prevalidated(batch)
     }
 
     /// Ingestion after validation: callers guarantee every tuple matches
     /// the schema width and has an in-range group (`< K`) and binary
-    /// label.
-    fn ingest_prevalidated<T: Borrow<StreamTuple>>(
+    /// label. The sharded router enters here once it has validated the
+    /// whole mixed batch (for whole-batch rejection semantics), with
+    /// borrowed per-shard sub-batches — or, for a one-shard fleet, the
+    /// routed `ShardedTuple` slice itself through its
+    /// `Borrow<StreamTuple>` view, with no per-tuple gather at all.
+    pub(crate) fn ingest_prevalidated<T: Borrow<StreamTuple>>(
         &mut self,
         batch: &[T],
     ) -> Result<IngestOutcome> {
@@ -464,17 +447,8 @@ impl StreamEngine {
     /// [`StreamError::FutureFeedback`] for an id not issued yet; the whole
     /// batch is validated before anything joins.
     pub fn feedback(&mut self, feedback: &[LabelFeedback]) -> Result<crate::FeedbackOutcome> {
-        let issued = self.monitor.ids_issued();
         for record in feedback {
-            if record.label >= 2 {
-                return Err(StreamError::BadLabel(record.label));
-            }
-            if record.id >= issued {
-                return Err(StreamError::FutureFeedback {
-                    id: record.id,
-                    issued,
-                });
-            }
+            validate_feedback(record, self.monitor.ids_issued())?;
         }
         self.monitor.feedback(feedback)
     }
@@ -778,33 +752,60 @@ pub(crate) fn checkpoint_from_parts(
     })
 }
 
-/// Validate one tuple against a schema of width `d` (`i` is the tuple's
-/// batch index, used only in the error message). Shared by the
-/// single-engine, sharded-router, and async ingestion paths so the checks
+/// Validate a whole batch against a schema of width `d` and `groups`
+/// cells before anything is scored; the first failure in batch order
+/// rejects the batch. Each item is a tuple or the routing error that
+/// rejects it (the routers resolve shard ids on the way in, so a bad
+/// shard id fails at its own batch position). Shared by the
+/// single-engine, async, and sharded-router ingestion paths so the checks
 /// cannot drift apart.
-pub(crate) fn validate_tuple(tuple: &StreamTuple, d: usize, i: usize, groups: usize) -> Result<()> {
-    if tuple.features.len() != d {
-        return Err(StreamError::Schema(format!(
-            "tuple {i} has {} features; the reference schema has {d}",
-            tuple.features.len()
-        )));
-    }
-    // A branch-free scan vectorises; the offender is located only on failure.
-    if !tuple.features.iter().fold(true, |ok, x| ok & x.is_finite()) {
-        let feature = tuple
-            .features
-            .iter()
-            .position(|x| !x.is_finite())
-            .expect("the scan saw a non-finite feature");
-        return Err(StreamError::NonFinite { tuple: i, feature });
-    }
-    if usize::from(tuple.group) >= groups {
-        return Err(StreamError::BadGroup(tuple.group));
-    }
-    if let Some(label) = tuple.label {
-        if label >= 2 {
-            return Err(StreamError::BadLabel(label));
+pub(crate) fn validate_batch<'a>(
+    batch: impl Iterator<Item = Result<&'a StreamTuple>>,
+    d: usize,
+    groups: usize,
+) -> Result<()> {
+    for (i, tuple) in batch.enumerate() {
+        let tuple = tuple?;
+        if tuple.features.len() != d {
+            return Err(StreamError::Schema(format!(
+                "tuple {i} has {} features; the reference schema has {d}",
+                tuple.features.len()
+            )));
         }
+        // A branch-free scan vectorises; the offender is located only on
+        // failure.
+        if !tuple.features.iter().fold(true, |ok, x| ok & x.is_finite()) {
+            let feature = tuple
+                .features
+                .iter()
+                .position(|x| !x.is_finite())
+                .expect("the scan saw a non-finite feature");
+            return Err(StreamError::NonFinite { tuple: i, feature });
+        }
+        if usize::from(tuple.group) >= groups {
+            return Err(StreamError::BadGroup(tuple.group));
+        }
+        if let Some(label) = tuple.label {
+            if label >= 2 {
+                return Err(StreamError::BadLabel(label));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Validate one late label against an engine's id clock (`issued` ids
+/// served so far). Shared by every engine and router so a feedback batch
+/// is judged the same way everywhere, before anything joins.
+pub(crate) fn validate_feedback(record: &LabelFeedback, issued: u64) -> Result<()> {
+    if record.label >= 2 {
+        return Err(StreamError::BadLabel(record.label));
+    }
+    if record.id >= issued {
+        return Err(StreamError::FutureFeedback {
+            id: record.id,
+            issued,
+        });
     }
     Ok(())
 }

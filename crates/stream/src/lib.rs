@@ -18,7 +18,7 @@
 //! [`async_engine::AsyncEngine`] composes them as a pipeline — `ingest`
 //! returns decisions straight off the forward pass while a background
 //! thread drains a bounded queue into the monitor and publishes retrained
-//! models back through an atomically-swapped slot.
+//! models and repair updates back through atomically-swapped slots.
 //!
 //! Ground truth is **optional and deferrable**: tuples may arrive
 //! unlabeled, the decision-plane monitors (selection rates, DI/DP,
@@ -43,10 +43,12 @@
 //! * a retraining hook ([`engine::RetrainPolicy::OnAlert`]) that re-runs
 //!   ConFair on the window's contents and re-profiles the stream's new
 //!   normal;
-//! * [`sharded::ShardedEngine`] — a router over N independent per-shard
-//!   engines with parallel ingest and exact cross-shard aggregate
-//!   snapshots, the path from one stream to partitioned production
-//!   traffic;
+//! * [`sharded::Sharded`] — one router over N independent per-shard
+//!   engines (generic over [`sharded::Shard`]) with whole-batch
+//!   validation and exact cross-shard aggregate snapshots, the path from
+//!   one stream to partitioned production traffic; its two serving impls
+//!   are [`ShardedEngine`] (parallel sync ingest) and
+//!   [`ShardedAsyncEngine`] (one background monitor per shard);
 //! * [`checkpoint::EngineCheckpoint`] — versioned, durable
 //!   checkpoint/restore for both engines: a restored monitor resumes
 //!   bit-identically, with no warm-up gap and no re-alert storm.
@@ -85,7 +87,8 @@ pub use monitor::{FairnessSnapshot, FeedbackOutcome, Monitor, ObserveOutcome};
 pub use repair::{RepairLadder, RepairTier, RepairUpdate};
 pub use scorer::Scorer;
 pub use sharded::{
-    ShardedAsyncEngine, ShardedEngine, ShardedFeedback, ShardedOutcome, ShardedTuple,
+    Shard, Sharded, ShardedAsyncEngine, ShardedEngine, ShardedFeedback, ShardedOutcome,
+    ShardedTuple,
 };
 pub use supervise::{Backoff, RepairConfig, ShardHealth, SupervisorConfig};
 pub use telemetry::StreamMetrics;

@@ -1,13 +1,21 @@
-//! Sharded multi-stream serving: a router over independent per-shard
-//! [`StreamEngine`]s.
+//! Sharded multi-stream serving: one router over independent per-shard
+//! engines.
 //!
 //! Production traffic is naturally partitioned — by region, product line,
-//! tenant — and each partition drifts on its own schedule. [`ShardedEngine`]
-//! keys a [`StreamEngine`] per shard id, routes each arriving tuple to its
-//! shard, ingests the per-shard micro-batches in parallel (scoped threads
-//! via the `rayon` facade), and reads a **cross-shard aggregate**
-//! [`FairnessSnapshot`] by merging the additive window counters — exact, not
-//! approximate, because every counter is a sum.
+//! tenant — and each partition drifts on its own schedule. [`Sharded`]
+//! keys an engine per shard id, validates each mixed batch whole, routes
+//! every tuple to its shard, scatters the decisions back to input order,
+//! and reads a **cross-shard aggregate** [`FairnessSnapshot`] by merging
+//! the additive window counters — exact, not approximate, because every
+//! counter is a sum. That router is written once, over the small
+//! [`Shard`] trait; only serving differs between its two instantiations:
+//!
+//! * [`ShardedEngine`] (`Sharded<StreamEngine>`) ingests the per-shard
+//!   micro-batches in parallel (scoped threads via the `rayon` facade)
+//!   and returns once every shard has scored *and* monitored its part;
+//! * [`ShardedAsyncEngine`] (`Sharded<AsyncEngine>`) scores every shard
+//!   on the caller's thread and hands each shard's record to that shard's
+//!   own background monitor.
 //!
 //! Per-shard state (model, conformance profiles, Page–Hinkley detectors,
 //! window, alert log) stays fully independent: a shard's drift alert or
@@ -17,8 +25,12 @@
 
 use crate::async_engine::{AsyncConfig, AsyncEngine, DropCounters};
 use crate::checkpoint::ShardedCheckpoint;
-use crate::engine::{IngestOutcome, LabelFeedback, StreamEngine, StreamTuple};
+use crate::engine::{
+    validate_batch, validate_feedback, IngestOutcome, LabelFeedback, StreamConfig, StreamEngine,
+    StreamTuple,
+};
 use crate::monitor::{FairnessSnapshot, FeedbackOutcome};
+use crate::repair::RepairTier;
 use crate::telemetry::StreamMetrics;
 use crate::window::GroupCounts;
 use crate::{Result, StreamError};
@@ -42,12 +54,12 @@ impl std::borrow::Borrow<StreamTuple> for ShardedTuple {
     }
 }
 
-/// Recycled validate-once-scatter-once routing scratch. One counting pass
-/// over the batch builds a per-shard histogram (validation folded in), a
-/// prefix sum turns it into segment offsets, and a second pass scatters
-/// each tuple's *index* into its shard's segment of `order` — so routing a
-/// mixed batch costs two linear passes and zero per-tuple allocations, and
-/// the buffers are reused across batches instead of reallocated.
+/// Recycled scatter-once routing scratch. One counting pass over the batch
+/// builds a per-shard histogram, a prefix sum turns it into segment
+/// offsets, and a second pass scatters each tuple's *index* into its
+/// shard's segment of `order` — so routing a mixed batch costs two linear
+/// passes and zero per-tuple allocations, and the buffers are reused
+/// across batches instead of reallocated.
 #[derive(Debug, Default)]
 struct RouteScratch {
     /// Per-shard histogram during counting; per-shard write cursors during
@@ -61,13 +73,13 @@ struct RouteScratch {
 }
 
 impl RouteScratch {
-    /// Run the counting + scatter passes for `batch`. `shard_of` has
+    /// Run the counting + scatter passes for `batch`, whose shard ids have
     /// already been validated to be in `0..n`.
-    fn route(&mut self, n: usize, shards_of: impl Iterator<Item = u32> + Clone, len: usize) {
+    fn route(&mut self, n: usize, batch: &[ShardedTuple]) {
         self.cursors.clear();
         self.cursors.resize(n, 0);
-        for shard in shards_of.clone() {
-            self.cursors[shard as usize] += 1;
+        for routed in batch {
+            self.cursors[routed.shard as usize] += 1;
         }
         self.offsets.clear();
         self.offsets.reserve(n + 1);
@@ -82,9 +94,9 @@ impl RouteScratch {
         }
         self.offsets.push(acc);
         self.order.clear();
-        self.order.resize(len, 0);
-        for (i, shard) in shards_of.enumerate() {
-            let cursor = &mut self.cursors[shard as usize];
+        self.order.resize(batch.len(), 0);
+        for (i, routed) in batch.iter().enumerate() {
+            let cursor = &mut self.cursors[routed.shard as usize];
             self.order[*cursor as usize] = i as u32;
             *cursor += 1;
         }
@@ -93,6 +105,19 @@ impl RouteScratch {
     /// Shard `s`'s segment of the routed order.
     fn segment(&self, s: usize) -> &[u32] {
         &self.order[self.offsets[s] as usize..self.offsets[s + 1] as usize]
+    }
+
+    /// Scatter per-shard decisions (in shard order, each in its segment's
+    /// order) back to the input order of a `len`-tuple batch — no
+    /// per-tuple position bookkeeping beyond the segments themselves.
+    fn scatter<'a>(&self, len: usize, per_shard: impl Iterator<Item = &'a [u8]>) -> Vec<u8> {
+        let mut decisions = vec![0u8; len];
+        for (shard, shard_decisions) in per_shard.enumerate() {
+            for (&original, &decision) in self.segment(shard).iter().zip(shard_decisions) {
+                decisions[original as usize] = decision;
+            }
+        }
+        decisions
     }
 }
 
@@ -135,11 +160,230 @@ impl ShardedOutcome {
 /// scoped OS thread, so parallel dispatch would only add latency.
 const MIN_PARALLEL_SHARD_BATCH: usize = 512;
 
-/// A router over N independent per-shard [`StreamEngine`]s with parallel
-/// ingest and exact cross-shard aggregate snapshots.
-pub struct ShardedEngine {
-    shards: Vec<StreamEngine>,
+/// What the router needs from a per-shard engine besides serving: the
+/// inputs of the fleet-coherence checks and of whole-batch validation, the
+/// id clock feedback is judged against, the additive window counters the
+/// aggregate snapshot merges, and the per-shard controls it forwards.
+/// Implemented by [`StreamEngine`] and [`AsyncEngine`].
+pub trait Shard {
+    /// The reference schema's column names.
+    fn schema(&self) -> &[String];
+    /// The stream configuration the engine was built with.
+    fn config(&self) -> &StreamConfig;
+    /// Ids issued so far: `0..id_clock()` are this shard's valid feedback
+    /// keys.
+    fn id_clock(&self) -> u64;
+    /// Add this shard's windowed per-cell counters (an async shard's
+    /// latest published ones) into `merged`, cell by cell.
+    fn merge_counts(&self, merged: &mut [GroupCounts]);
+    /// The rung of this shard's open repair-ladder episode (`None` while
+    /// its ladder is idle or disabled).
+    fn repair_tier(&self) -> Option<RepairTier>;
+    /// Install a telemetry sink on this shard's monitor.
+    ///
+    /// # Errors
+    /// [`StreamError::Async`] when an async shard's monitor thread is gone.
+    fn set_sink(&mut self, sink: SharedSink) -> Result<()>;
+}
+
+impl Shard for StreamEngine {
+    fn schema(&self) -> &[String] {
+        StreamEngine::schema(self)
+    }
+    fn config(&self) -> &StreamConfig {
+        StreamEngine::config(self)
+    }
+    fn id_clock(&self) -> u64 {
+        self.ids_issued()
+    }
+    fn merge_counts(&self, merged: &mut [GroupCounts]) {
+        for (cell, counts) in merged.iter_mut().zip(self.window_counts()) {
+            cell.merge(counts);
+        }
+    }
+    fn repair_tier(&self) -> Option<RepairTier> {
+        StreamEngine::repair_tier(self)
+    }
+    fn set_sink(&mut self, sink: SharedSink) -> Result<()> {
+        StreamEngine::set_sink(self, sink);
+        Ok(())
+    }
+}
+
+impl Shard for AsyncEngine {
+    fn schema(&self) -> &[String] {
+        AsyncEngine::schema(self)
+    }
+    fn config(&self) -> &StreamConfig {
+        AsyncEngine::config(self)
+    }
+    fn id_clock(&self) -> u64 {
+        self.tuples_scored()
+    }
+    fn merge_counts(&self, merged: &mut [GroupCounts]) {
+        for (cell, counts) in merged.iter_mut().zip(self.window_counts()) {
+            cell.merge(&counts);
+        }
+    }
+    fn repair_tier(&self) -> Option<RepairTier> {
+        AsyncEngine::repair_tier(self)
+    }
+    fn set_sink(&mut self, sink: SharedSink) -> Result<()> {
+        AsyncEngine::set_sink(self, sink)
+    }
+}
+
+/// A router over N independent per-shard engines with whole-batch
+/// validation and exact cross-shard aggregate snapshots; see the module
+/// docs for its two serving instantiations.
+pub struct Sharded<E> {
+    shards: Vec<E>,
     route: RouteScratch,
+}
+
+/// The synchronous router: per-shard [`StreamEngine`]s with parallel
+/// ingest.
+pub type ShardedEngine = Sharded<StreamEngine>;
+
+/// The asynchronous sharded router: one [`AsyncEngine`] per shard, so each
+/// shard gets its *own* background monitor thread while all scoring stays
+/// on the caller's thread.
+///
+/// This inverts the sync router's parallelism: [`ShardedEngine`]'s
+/// `ingest` fans the whole score+monitor pipeline out to scoped threads
+/// and joins them before returning; here the cheap part (scoring, ~tens of
+/// ns per tuple) runs serially and the expensive part (window/detector
+/// updates, on-alert retrains) proceeds concurrently across shards *after*
+/// `ingest` has returned. A shard mid-retrain delays only its own queue —
+/// its neighbours' monitors, and everyone's decisions, keep flowing.
+pub type ShardedAsyncEngine = Sharded<AsyncEngine>;
+
+impl<E: Shard> Sharded<E> {
+    /// Assemble a fleet. All engines must share the same schema (or routed
+    /// tuples could not be validated uniformly), the same DI* floor (or
+    /// the aggregate snapshot's verdict would silently judge the fleet by
+    /// one shard's floor) and the same cell layout.
+    fn from_shards(shards: Vec<E>) -> Result<Self> {
+        let first = shards.first().ok_or(StreamError::NoShards)?;
+        let (schema, config) = (first.schema(), first.config());
+        for (i, engine) in shards.iter().enumerate().skip(1) {
+            if engine.schema() != schema {
+                return Err(StreamError::Schema(format!(
+                    "shard {i} schema {:?} differs from shard 0 schema {schema:?}",
+                    engine.schema(),
+                )));
+            }
+            if engine.config().di_floor != config.di_floor {
+                return Err(StreamError::ConfigMismatch(format!(
+                    "shard {i} di_floor {} differs from shard 0 di_floor {}",
+                    engine.config().di_floor,
+                    config.di_floor
+                )));
+            }
+            if engine.config().groups != config.groups {
+                return Err(StreamError::ConfigMismatch(format!(
+                    "shard {i} has {} group cells; shard 0 has {} \
+                     (counters are only additive across identical cell layouts)",
+                    engine.config().groups,
+                    config.groups
+                )));
+            }
+        }
+        Ok(Sharded {
+            shards,
+            route: RouteScratch::default(),
+        })
+    }
+
+    /// Number of shards.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Borrow one shard's engine (per-shard telemetry, alert logs, lag,
+    /// published snapshots, audits).
+    ///
+    /// # Errors
+    /// [`StreamError::BadShard`] for an out-of-range shard id.
+    pub fn shard(&self, shard: u32) -> Result<&E> {
+        self.shards
+            .get(shard as usize)
+            .ok_or(StreamError::BadShard {
+                shard,
+                shards: self.shards.len(),
+            })
+    }
+
+    /// Install a telemetry sink on one shard's monitor (for an async
+    /// shard, FIFO with that shard's queue; see [`AsyncEngine::set_sink`]).
+    /// Shards keep independent trails (each shard's id clock and window
+    /// are its own), so each shard's audit log replays standalone — give
+    /// every shard its own sink rather than sharing one.
+    ///
+    /// # Errors
+    /// [`StreamError::BadShard`] for an out-of-range shard id;
+    /// [`StreamError::Async`] when that async shard's monitor thread is
+    /// gone.
+    pub fn set_sink(&mut self, shard: u32, sink: SharedSink) -> Result<()> {
+        let shards = self.shards.len();
+        self.shards
+            .get_mut(shard as usize)
+            .ok_or(StreamError::BadShard { shard, shards })?
+            .set_sink(sink)
+    }
+
+    /// Each shard's open repair-ladder rung, indexed by shard id (`None`
+    /// = that shard's ladder is idle or disabled; an async shard reports
+    /// its monitor's latest published state, current after a flush).
+    /// Shards climb and descend independently — one shard's escalation
+    /// never moves its neighbours.
+    pub fn repair_tiers(&self) -> Vec<Option<RepairTier>> {
+        self.shards.iter().map(E::repair_tier).collect()
+    }
+
+    /// The cross-shard merged per-cell counters. Exact: every windowed
+    /// counter is additive, so the merge is a componentwise sum (the fleet
+    /// checks pinned every shard to the same cell layout). An async fleet
+    /// merges each shard's latest published counters: exact after a flush,
+    /// otherwise each shard lags by at most its queue backlog.
+    pub fn merged_counts(&self) -> Vec<GroupCounts> {
+        let mut merged = vec![GroupCounts::default(); self.shards[0].config().groups];
+        for engine in &self.shards {
+            engine.merge_counts(&mut merged);
+        }
+        merged
+    }
+
+    /// The cross-shard aggregate fairness reading — the fleet-wide DI*,
+    /// parity gaps, and violation rates over the union of all windows.
+    pub fn snapshot(&self) -> FairnessSnapshot {
+        FairnessSnapshot::from_counts(&self.merged_counts(), self.shards[0].config().di_floor)
+    }
+
+    /// Validate a whole mixed batch — shard ids, schema, finite features,
+    /// groups, labels — before any shard sees a tuple of it.
+    fn validate(&self, batch: &[ShardedTuple]) -> Result<()> {
+        validate_batch(
+            batch
+                .iter()
+                .map(|routed| self.shard(routed.shard).map(|_| &routed.tuple)),
+            self.shards[0].schema().len(),
+            self.shards[0].config().groups,
+        )
+    }
+
+    /// Validate a whole feedback batch — shard range, label range, and
+    /// each record against its own shard's id clock — then bucket it per
+    /// shard (indexed by shard id), so a validation error joins nothing
+    /// anywhere.
+    fn route_feedback(&self, feedback: &[ShardedFeedback]) -> Result<Vec<Vec<LabelFeedback>>> {
+        let mut per_shard = vec![Vec::new(); self.shards.len()];
+        for routed in feedback {
+            validate_feedback(&routed.feedback, self.shard(routed.shard)?.id_clock())?;
+            per_shard[routed.shard as usize].push(routed.feedback);
+        }
+        Ok(per_shard)
+    }
 }
 
 impl ShardedEngine {
@@ -157,98 +401,28 @@ impl ShardedEngine {
         reference: &cf_data::Dataset,
         learner: cf_learners::LearnerKind,
         seed: u64,
-        config: crate::engine::StreamConfig,
+        config: StreamConfig,
         n_shards: usize,
     ) -> Result<Self> {
         if n_shards == 0 {
             return Err(StreamError::NoShards);
         }
-        let shards = (0..n_shards)
-            .map(|_| StreamEngine::from_reference(reference, learner, seed, config.clone()))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(ShardedEngine {
-            shards,
-            route: RouteScratch::default(),
-        })
+        Self::from_shards(
+            (0..n_shards)
+                .map(|_| StreamEngine::from_reference(reference, learner, seed, config.clone()))
+                .collect::<Result<Vec<_>>>()?,
+        )
     }
 
     /// Assemble from independently bootstrapped engines (e.g. one
     /// reference dataset per region). All engines must share the same
-    /// schema (or routed tuples could not be validated uniformly) and the
-    /// same DI* floor (or the aggregate snapshot's verdict would silently
-    /// judge the fleet by one shard's floor).
-    pub fn from_engines(shards: Vec<StreamEngine>) -> Result<Self> {
-        if shards.is_empty() {
-            return Err(StreamError::NoShards);
-        }
-        let schema = shards[0].schema().to_vec();
-        let di_floor = shards[0].config().di_floor;
-        let groups = shards[0].config().groups;
-        for (i, engine) in shards.iter().enumerate().skip(1) {
-            if engine.schema() != schema.as_slice() {
-                return Err(StreamError::Schema(format!(
-                    "shard {i} schema {:?} differs from shard 0 schema {:?}",
-                    engine.schema(),
-                    schema
-                )));
-            }
-            if engine.config().di_floor != di_floor {
-                return Err(StreamError::ConfigMismatch(format!(
-                    "shard {i} di_floor {} differs from shard 0 di_floor {di_floor}",
-                    engine.config().di_floor
-                )));
-            }
-            if engine.config().groups != groups {
-                return Err(StreamError::ConfigMismatch(format!(
-                    "shard {i} has {} group cells; shard 0 has {groups} \
-                     (counters are only additive across identical cell layouts)",
-                    engine.config().groups
-                )));
-            }
-        }
-        Ok(ShardedEngine {
-            shards,
-            route: RouteScratch::default(),
-        })
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Each shard's open repair-ladder rung, indexed by shard id (`None`
-    /// = that shard's ladder is idle or disabled). Shards climb and
-    /// descend independently — one shard's escalation never moves its
-    /// neighbours.
-    pub fn repair_tiers(&self) -> Vec<Option<crate::repair::RepairTier>> {
-        self.shards.iter().map(StreamEngine::repair_tier).collect()
-    }
-
-    /// Borrow one shard's engine (per-shard telemetry, alert logs, audits).
-    pub fn shard(&self, shard: u32) -> Result<&StreamEngine> {
-        self.shards
-            .get(shard as usize)
-            .ok_or(StreamError::BadShard {
-                shard,
-                shards: self.shards.len(),
-            })
-    }
-
-    /// Install a telemetry sink on one shard's engine. Shards keep
-    /// independent trails (each shard's id clock and window are its own),
-    /// so each shard's audit log replays standalone — give every shard its
-    /// own sink rather than sharing one.
+    /// schema, DI* floor and cell layout.
     ///
     /// # Errors
-    /// [`StreamError::BadShard`] for an out-of-range shard id.
-    pub fn set_sink(&mut self, shard: u32, sink: SharedSink) -> Result<()> {
-        let shards = self.shards.len();
-        self.shards
-            .get_mut(shard as usize)
-            .ok_or(StreamError::BadShard { shard, shards })?
-            .set_sink(sink);
-        Ok(())
+    /// [`StreamError::NoShards`], [`StreamError::Schema`] or
+    /// [`StreamError::ConfigMismatch`] for an empty or incoherent fleet.
+    pub fn from_engines(shards: Vec<StreamEngine>) -> Result<Self> {
+        Self::from_shards(shards)
     }
 
     /// Register every shard's instruments on `registry` under a
@@ -262,25 +436,6 @@ impl ShardedEngine {
     /// Total tuples ingested across all shards.
     pub fn tuples_seen(&self) -> u64 {
         self.shards.iter().map(StreamEngine::tuples_seen).sum()
-    }
-
-    /// The cross-shard merged per-cell counters. Exact: every windowed
-    /// counter is additive, so the merge is a componentwise sum
-    /// (`from_engines` pinned every shard to the same cell layout).
-    pub fn merged_counts(&self) -> Vec<GroupCounts> {
-        let mut merged = vec![GroupCounts::default(); self.shards[0].config().groups];
-        for engine in &self.shards {
-            for (cell, counts) in merged.iter_mut().zip(engine.window_counts()) {
-                cell.merge(counts);
-            }
-        }
-        merged
-    }
-
-    /// The cross-shard aggregate fairness reading — the fleet-wide DI*,
-    /// parity gaps, and violation rates over the union of all windows.
-    pub fn snapshot(&self) -> FairnessSnapshot {
-        FairnessSnapshot::from_counts(&self.merged_counts(), self.shards[0].config().di_floor)
     }
 
     /// Snapshot every shard coherently as one [`ShardedCheckpoint`].
@@ -324,7 +479,7 @@ impl ShardedEngine {
                 expected: crate::checkpoint::CHECKPOINT_VERSION,
             });
         }
-        Self::from_engines(
+        Self::from_shards(
             ckpt.shards
                 .into_iter()
                 .map(StreamEngine::restore)
@@ -344,25 +499,15 @@ impl ShardedEngine {
     /// failure after validation surfaces as the first shard's error in
     /// shard order.
     pub fn ingest(&mut self, batch: &[ShardedTuple]) -> Result<ShardedOutcome> {
+        self.validate(batch)?;
         let n = self.shards.len();
-        let d = self.shards[0].schema().len();
-        let groups = self.shards[0].config().groups;
-        for (i, routed) in batch.iter().enumerate() {
-            if routed.shard as usize >= n {
-                return Err(StreamError::BadShard {
-                    shard: routed.shard,
-                    shards: n,
-                });
-            }
-            crate::engine::validate_tuple(&routed.tuple, d, i, groups)?;
-        }
 
         // Single-shard fleets skip routing entirely: the routed batch
         // already is shard 0's batch, in arrival order, so after the
         // validation pass above the only remaining router cost is one
         // decisions copy into the input-order view.
         if n == 1 {
-            let outcome = self.shards[0].ingest_routed_prevalidated(batch)?;
+            let outcome = self.shards[0].ingest_prevalidated(batch)?;
             return Ok(ShardedOutcome {
                 decisions: outcome.decisions.clone(),
                 snapshot: self.snapshot(),
@@ -371,12 +516,11 @@ impl ShardedEngine {
         }
 
         // Scatter once: counting-sort the batch indices into shard-major
-        // order on recycled scratch (two linear passes, no per-tuple
-        // allocation), then gather each shard's borrowed sub-batch off its
-        // segment. The same segments scatter the decisions back to input
-        // order afterwards — no per-tuple position bookkeeping.
-        let route = &mut self.route;
-        route.route(n, batch.iter().map(|routed| routed.shard), batch.len());
+        // order on recycled scratch, then gather each shard's borrowed
+        // sub-batch off its segment. The same segments scatter the
+        // decisions back to input order afterwards.
+        self.route.route(n, batch);
+        let route = &self.route;
         let ordered: Vec<&StreamTuple> = route
             .order
             .iter()
@@ -399,27 +543,18 @@ impl ShardedEngine {
                 let span = &route.offsets[shard..shard + 2];
                 let shard_batch = &ordered[span[0] as usize..span[1] as usize];
                 if parallel && !shard_batch.is_empty() {
-                    s.spawn(move |_| *slot = Some(engine.ingest_refs_prevalidated(shard_batch)));
+                    s.spawn(move |_| *slot = Some(engine.ingest_prevalidated(shard_batch)));
                 } else {
-                    *slot = Some(engine.ingest_refs_prevalidated(shard_batch));
+                    *slot = Some(engine.ingest_prevalidated(shard_batch));
                 }
             }
         });
-
-        let mut outcomes = Vec::with_capacity(n);
-        for result in results {
-            outcomes.push(result.expect("every shard slot is filled")?);
-        }
-
-        let mut decisions = vec![0u8; batch.len()];
-        for (shard, outcome) in outcomes.iter().enumerate() {
-            for (&original, &decision) in route.segment(shard).iter().zip(&outcome.decisions) {
-                decisions[original as usize] = decision;
-            }
-        }
-
+        let outcomes = results
+            .into_iter()
+            .map(|result| result.expect("every shard slot is filled"))
+            .collect::<Result<Vec<_>>>()?;
         Ok(ShardedOutcome {
-            decisions,
+            decisions: route.scatter(batch.len(), outcomes.iter().map(|o| &o.decisions[..])),
             per_shard: outcomes,
             snapshot: self.snapshot(),
         })
@@ -437,30 +572,7 @@ impl ShardedEngine {
     /// ([`StreamError::FutureFeedback`]) — so a validation error joins
     /// nothing anywhere.
     pub fn feedback(&mut self, feedback: &[ShardedFeedback]) -> Result<Vec<FeedbackOutcome>> {
-        let n = self.shards.len();
-        for routed in feedback {
-            let shard = routed.shard as usize;
-            if shard >= n {
-                return Err(StreamError::BadShard {
-                    shard: routed.shard,
-                    shards: n,
-                });
-            }
-            if routed.feedback.label >= 2 {
-                return Err(StreamError::BadLabel(routed.feedback.label));
-            }
-            let issued = self.shards[shard].ids_issued();
-            if routed.feedback.id >= issued {
-                return Err(StreamError::FutureFeedback {
-                    id: routed.feedback.id,
-                    issued,
-                });
-            }
-        }
-        let mut per_shard: Vec<Vec<LabelFeedback>> = vec![Vec::new(); n];
-        for routed in feedback {
-            per_shard[routed.shard as usize].push(routed.feedback);
-        }
+        let per_shard = self.route_feedback(feedback)?;
         self.shards
             .iter_mut()
             .zip(per_shard)
@@ -469,27 +581,11 @@ impl ShardedEngine {
     }
 }
 
-/// The asynchronous sharded router: one [`AsyncEngine`] per shard, so each
-/// shard gets its *own* background monitor thread while all scoring stays
-/// on the caller's thread.
-///
-/// This inverts the sync router's parallelism: [`ShardedEngine::ingest`]
-/// fans the whole score+monitor pipeline out to scoped threads and joins
-/// them before returning; here the cheap part (scoring, ~tens of ns per
-/// tuple) runs serially and the expensive part (window/detector updates,
-/// on-alert retrains) proceeds concurrently across shards *after* `ingest`
-/// has returned. A shard mid-retrain delays only its own queue — its
-/// neighbours' monitors, and everyone's decisions, keep flowing.
-pub struct ShardedAsyncEngine {
-    shards: Vec<AsyncEngine>,
-    route: RouteScratch,
-}
-
 impl ShardedAsyncEngine {
     /// Split a synchronous sharded engine into per-shard async pipelines,
     /// carrying every shard's observable state over exactly.
     pub fn from_sharded(engine: ShardedEngine, async_config: AsyncConfig) -> Self {
-        ShardedAsyncEngine {
+        Sharded {
             shards: engine
                 .shards
                 .into_iter()
@@ -506,7 +602,7 @@ impl ShardedAsyncEngine {
         reference: &cf_data::Dataset,
         learner: cf_learners::LearnerKind,
         seed: u64,
-        config: crate::engine::StreamConfig,
+        config: StreamConfig,
         n_shards: usize,
         async_config: AsyncConfig,
     ) -> Result<Self> {
@@ -532,44 +628,6 @@ impl ShardedAsyncEngine {
             ShardedEngine::restore(ckpt)?,
             async_config,
         ))
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Each shard's open repair-ladder rung per its monitor's latest
-    /// published state, indexed by shard id (current after a
-    /// [`ShardedAsyncEngine::flush`]).
-    pub fn repair_tiers(&self) -> Vec<Option<crate::repair::RepairTier>> {
-        self.shards.iter().map(AsyncEngine::repair_tier).collect()
-    }
-
-    /// Borrow one shard's async engine (lag, drop counters, alert log,
-    /// published snapshots).
-    pub fn shard(&self, shard: u32) -> Result<&AsyncEngine> {
-        self.shards
-            .get(shard as usize)
-            .ok_or(StreamError::BadShard {
-                shard,
-                shards: self.shards.len(),
-            })
-    }
-
-    /// Install a telemetry sink on one shard's background monitor (FIFO
-    /// with that shard's queue; see [`AsyncEngine::set_sink`]). Shards
-    /// keep independent trails.
-    ///
-    /// # Errors
-    /// [`StreamError::BadShard`] for an out-of-range shard id;
-    /// [`StreamError::Async`] when that shard's monitor thread is gone.
-    pub fn set_sink(&mut self, shard: u32, sink: SharedSink) -> Result<()> {
-        let shards = self.shards.len();
-        self.shards
-            .get_mut(shard as usize)
-            .ok_or(StreamError::BadShard { shard, shards })?
-            .set_sink(sink)
     }
 
     /// Register every shard's instruments on `registry` under a
@@ -626,65 +684,28 @@ impl ShardedAsyncEngine {
     /// returned — shards are independent, so a dead neighbour must not
     /// stop the rest of the fleet from ingesting.
     pub fn ingest(&mut self, batch: &[ShardedTuple]) -> Result<Vec<u8>> {
-        let n = self.shards.len();
-        let d = self.shards[0].schema().len();
-        let groups = self.shards[0].config().groups;
-        for (i, routed) in batch.iter().enumerate() {
-            if routed.shard as usize >= n {
-                return Err(StreamError::BadShard {
-                    shard: routed.shard,
-                    shards: n,
-                });
-            }
-            crate::engine::validate_tuple(&routed.tuple, d, i, groups)?;
-        }
-
-        // Single-shard fleets: the batch is shard 0's batch in arrival
-        // order; clone straight into the queue hand-off with no routing.
-        if n == 1 {
-            return self.shards[0]
-                .ingest_prevalidated_owned(batch.iter().map(|r| r.tuple.clone()).collect());
-        }
-
-        // Scatter once on recycled scratch (see [`RouteScratch`]), then
-        // clone each shard's sub-batch off its segment in one
-        // exactly-sized allocation (the queue hand-off owns its tuples).
-        let route = &mut self.route;
-        route.route(n, batch.iter().map(|routed| routed.shard), batch.len());
-
-        // Every shard attempts its sub-batch before any error is
-        // reported, so one dead shard cannot stop its neighbours from
-        // ingesting (mirrors the sync router's per-shard error contract).
+        self.validate(batch)?;
+        self.route.route(self.shards.len(), batch);
+        let route = &self.route;
+        // Every shard attempts its sub-batch (cloned off its segment in one
+        // exactly-sized allocation: the queue hand-off owns its tuples)
+        // before any error is reported.
         let results: Vec<Result<Vec<u8>>> = self
             .shards
             .iter_mut()
             .enumerate()
-            .map(|(shard, engine)| {
-                let segment = route.segment(shard);
-                if segment.is_empty() {
-                    Ok(Vec::new())
-                } else {
-                    engine.ingest_prevalidated_owned(
-                        segment
-                            .iter()
-                            .map(|&i| batch[i as usize].tuple.clone())
-                            .collect(),
-                    )
-                }
+            .map(|(shard, engine)| match route.segment(shard) {
+                [] => Ok(Vec::new()),
+                segment => engine.ingest_prevalidated_owned(
+                    segment
+                        .iter()
+                        .map(|&i| batch[i as usize].tuple.clone())
+                        .collect(),
+                ),
             })
             .collect();
-        let mut per_shard_decisions = Vec::with_capacity(n);
-        for result in results {
-            per_shard_decisions.push(result?);
-        }
-
-        let mut decisions = vec![0u8; batch.len()];
-        for (shard, shard_decisions) in per_shard_decisions.iter().enumerate() {
-            for (&original, &decision) in route.segment(shard).iter().zip(shard_decisions) {
-                decisions[original as usize] = decision;
-            }
-        }
-        Ok(decisions)
+        let per_shard = results.into_iter().collect::<Result<Vec<_>>>()?;
+        Ok(route.scatter(batch.len(), per_shard.iter().map(Vec::as_slice)))
     }
 
     /// Route late ground truth to the shards that served it: each shard's
@@ -700,43 +721,15 @@ impl ShardedAsyncEngine {
     /// follows the router's contract: every live shard still receives its
     /// records, and the first failing shard's error is returned.
     pub fn feedback(&mut self, feedback: &[ShardedFeedback]) -> Result<()> {
-        let n = self.shards.len();
-        for routed in feedback {
-            let shard = routed.shard as usize;
-            if shard >= n {
-                return Err(StreamError::BadShard {
-                    shard: routed.shard,
-                    shards: n,
-                });
-            }
-            if routed.feedback.label >= 2 {
-                return Err(StreamError::BadLabel(routed.feedback.label));
-            }
-            let issued = self.shards[shard].tuples_scored();
-            if routed.feedback.id >= issued {
-                return Err(StreamError::FutureFeedback {
-                    id: routed.feedback.id,
-                    issued,
-                });
-            }
-        }
-        let mut per_shard: Vec<Vec<LabelFeedback>> = vec![Vec::new(); n];
-        for routed in feedback {
-            per_shard[routed.shard as usize].push(routed.feedback);
-        }
-        let mut first_error = None;
-        for (engine, records) in self.shards.iter_mut().zip(per_shard) {
-            if records.is_empty() {
-                continue;
-            }
-            if let Err(e) = engine.feedback(&records) {
-                first_error.get_or_insert(e);
-            }
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        let per_shard = self.route_feedback(feedback)?;
+        let results: Vec<Result<()>> = self
+            .shards
+            .iter_mut()
+            .zip(per_shard)
+            .filter(|(_, records)| !records.is_empty())
+            .map(|(engine, records)| engine.feedback(&records))
+            .collect();
+        results.into_iter().collect()
     }
 
     /// Barrier over every shard: returns once all queues are drained and
@@ -746,25 +739,6 @@ impl ShardedAsyncEngine {
             shard.flush()?;
         }
         Ok(())
-    }
-
-    /// The cross-shard merged per-group counters, from each shard's
-    /// latest published state (exact after a [`ShardedAsyncEngine::flush`];
-    /// otherwise each shard lags by at most its queue backlog).
-    pub fn merged_counts(&self) -> Vec<GroupCounts> {
-        let mut merged = vec![GroupCounts::default(); self.shards[0].config().groups];
-        for engine in &self.shards {
-            for (cell, counts) in merged.iter_mut().zip(engine.window_counts()) {
-                cell.merge(&counts);
-            }
-        }
-        merged
-    }
-
-    /// The cross-shard aggregate fairness reading over the merged
-    /// published counters.
-    pub fn snapshot(&self) -> FairnessSnapshot {
-        FairnessSnapshot::from_counts(&self.merged_counts(), self.shards[0].config().di_floor)
     }
 
     /// Total tuples scored (served) across all shards.
