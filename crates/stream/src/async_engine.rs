@@ -43,11 +43,13 @@ use crate::repair::{RepairTier, RepairUpdate};
 use crate::scorer::Scorer;
 use crate::supervise::{Backoff, ShardHealth, SupervisorConfig};
 use crate::telemetry::StreamMetrics;
-use crate::window::{GroupCounts, JoinStats};
+use crate::window::JoinStats;
 use crate::{DriftAlert, EngineCheckpoint, Result, StreamError};
 use cf_data::Dataset;
 use cf_learners::LearnerKind;
-use cf_telemetry::{DropEvent, MetricsRegistry, MonitorRestartEvent, SharedSink, TelemetryEvent};
+use cf_telemetry::{
+    DropEvent, MetricsRegistry, MonitorRestartEvent, SharedSink, TelemetryEvent, WindowCounters,
+};
 use confair_core::Predictor;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -399,7 +401,7 @@ impl<T> Drop for Slot<T> {
 struct PublishedState {
     /// The window counters and degraded flag the published snapshot is
     /// rebuilt from (see [`AsyncEngine::snapshot`]).
-    counts: Vec<GroupCounts>,
+    counts: Vec<WindowCounters>,
     degraded: bool,
     window_len: usize,
     seen: u64,
@@ -1035,7 +1037,7 @@ impl AsyncEngine {
 
     /// The monitor's latest published per-cell window counters
     /// (index = group cell id).
-    pub fn window_counts(&self) -> Vec<GroupCounts> {
+    pub fn window_counts(&self) -> Vec<WindowCounters> {
         self.stats(|s| s.counts.clone())
     }
 
@@ -1240,7 +1242,7 @@ impl AsyncEngine {
             restarts,
             gap_tuples: gap,
             resumed_from: monitor.ids_issued(),
-            counters: crate::telemetry::both_counters(monitor.window_counts()),
+            counters: monitor.window_counts().to_vec(),
             di_floor: monitor.config().di_floor,
             degraded: monitor.is_degraded(),
         }));

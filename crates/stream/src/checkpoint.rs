@@ -128,7 +128,8 @@ pub struct EngineCheckpoint {
     /// Whether the tier-2 conformance projection was installed on the
     /// serving path (rebuilt on restore from `profiles`).
     pub repair_projection: bool,
-    /// Repair work (µs) accumulated by the open episode.
+    /// Repair work accumulated by the open episode, in whole µs rounded
+    /// up.
     pub repair_work_us: u64,
 }
 
@@ -145,7 +146,7 @@ pub(crate) fn checkpoint_event(
         at_tuple: monitor.tuples_seen(),
         phase: phase.to_string(),
         version: CHECKPOINT_VERSION,
-        counters: crate::telemetry::both_counters(monitor.window_counts()),
+        counters: monitor.window_counts().to_vec(),
         di_floor: monitor.config().di_floor,
     })
 }

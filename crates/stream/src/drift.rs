@@ -13,7 +13,13 @@
 //! caller's thread in the sync engine, behind the bounded queue in the
 //! async one — and cloned wholesale for checkpoints.
 //!
+//! The alerts themselves ([`DriftAlert`], [`DriftKind`]) are defined in
+//! `cf-telemetry`, which records them in the audit trail as they are, and
+//! re-exported here.
+//!
 //! [`Monitor`]: crate::Monitor
+
+pub use cf_telemetry::{DriftAlert, DriftKind};
 
 /// Page–Hinkley configuration.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -153,92 +159,6 @@ pub struct PageHinkleyState {
     pub minimum: f64,
     /// Observations still to ignore after the last alert.
     pub cooldown_left: u64,
-}
-
-/// What kind of drift fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriftKind {
-    /// Page–Hinkley change-point on a group's conformance-violation series:
-    /// the group's live distribution has left its reference profile.
-    ConformanceViolation,
-    /// The windowed disparate-impact ratio fell below the configured floor
-    /// (EEOC four-fifths rule).
-    DisparateImpactFloor,
-}
-
-impl DriftKind {
-    /// The stable wire name this kind serialises as (also what the
-    /// telemetry plane's `AlertData::kind` carries).
-    pub fn wire_name(&self) -> &'static str {
-        match self {
-            DriftKind::ConformanceViolation => "conformance_violation",
-            DriftKind::DisparateImpactFloor => "disparate_impact_floor",
-        }
-    }
-}
-
-impl serde::Serialize for DriftKind {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::String(self.wire_name().into())
-    }
-}
-
-impl serde::Deserialize for DriftKind {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        match v.as_str() {
-            Some("conformance_violation") => Ok(DriftKind::ConformanceViolation),
-            Some("disparate_impact_floor") => Ok(DriftKind::DisparateImpactFloor),
-            _ => Err(serde::Error::msg("unknown drift kind")),
-        }
-    }
-}
-
-/// A typed drift event emitted by the engine.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct DriftAlert {
-    /// Which kind of detector fired.
-    pub kind: DriftKind,
-    /// The drifting cell id (one of the `config.groups` monitored cells;
-    /// at the binary default, 0 = majority and 1 = minority). For
-    /// [`DriftKind::DisparateImpactFloor`] this is the disadvantaged cell
-    /// of the worst-served pair.
-    pub group: u8,
-    /// Global stream position (tuples ingested when the alert fired).
-    pub at_tuple: u64,
-    /// The detector statistic at firing time (Page–Hinkley statistic, or
-    /// the DI* reading for floor alerts).
-    pub statistic: f64,
-    /// The threshold that was crossed (λ, or the DI floor).
-    pub threshold: f64,
-}
-
-impl DriftAlert {
-    /// Compact rendering for monitoring output (alias for the [`Display`]
-    /// impl, kept for callers that want an owned `String`).
-    ///
-    /// [`Display`]: std::fmt::Display
-    pub fn one_line(&self) -> String {
-        self.to_string()
-    }
-}
-
-/// Human-readable one-liner, e.g.
-/// `[ALERT @9250] conformance drift in group 1: PH statistic 12.31 > λ=12.00`.
-impl std::fmt::Display for DriftAlert {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.kind {
-            DriftKind::ConformanceViolation => write!(
-                f,
-                "[ALERT @{}] conformance drift in group {}: PH statistic {:.2} > λ={:.2}",
-                self.at_tuple, self.group, self.statistic, self.threshold
-            ),
-            DriftKind::DisparateImpactFloor => write!(
-                f,
-                "[ALERT @{}] DI* {:.3} below floor {:.2} (disadvantaged group {})",
-                self.at_tuple, self.statistic, self.threshold, self.group
-            ),
-        }
-    }
 }
 
 #[cfg(test)]

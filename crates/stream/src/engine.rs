@@ -27,14 +27,14 @@ use crate::repair::{RepairLadder, RepairTier};
 use crate::scorer::Scorer;
 use crate::supervise::RepairConfig;
 use crate::telemetry::StreamMetrics;
-use crate::window::{GroupCounts, SlidingWindow};
+use crate::window::SlidingWindow;
 use crate::{Result, StreamError};
 use cf_data::{
     split::{split3_stratified, SplitRatios},
     Dataset,
 };
 use cf_learners::LearnerKind;
-use cf_telemetry::{MetricsRegistry, SharedSink};
+use cf_telemetry::{MetricsRegistry, SharedSink, WindowCounters};
 use confair_core::{confair::ConFair, confair::ConFairConfig, Intervention};
 use std::borrow::Borrow;
 
@@ -587,7 +587,7 @@ impl StreamEngine {
             recovery_streak: ckpt.repair_recovery_streak,
             thresholds: ckpt.repair_thresholds,
             projection: ckpt.repair_projection,
-            work_us: ckpt.repair_work_us,
+            work_ns: ckpt.repair_work_us.saturating_mul(1_000),
         };
         let monitor = Monitor {
             schema: ckpt.schema,
@@ -675,7 +675,7 @@ impl StreamEngine {
 
     /// The raw windowed per-cell counters (index = group cell id, `0..K`).
     /// Additive across engines — the basis of cross-shard snapshot merging.
-    pub fn window_counts(&self) -> &[GroupCounts] {
+    pub fn window_counts(&self) -> &[WindowCounters] {
         self.monitor.window_counts()
     }
 
@@ -748,7 +748,7 @@ pub(crate) fn checkpoint_from_parts(
         repair_batches_in_tier: monitor.ladder.batches_in_tier,
         repair_recovery_streak: monitor.ladder.recovery_streak,
         repair_projection: monitor.ladder.projection,
-        repair_work_us: monitor.ladder.work_us,
+        repair_work_us: monitor.ladder.work_us(),
     })
 }
 

@@ -19,8 +19,8 @@
 //! the intersection cells of a layout always sum to their parents, with
 //! no second pass over the stream.
 
-use crate::window::GroupCounts;
 use crate::{Result, StreamError};
+use cf_telemetry::WindowCounters;
 
 /// An ordered product of protected axes flattened into `0..K` cell ids
 /// (row-major, last axis fastest).
@@ -125,14 +125,14 @@ impl GroupLayout {
 
     /// Collapse per-cell windowed counters onto one axis: entry `a` of the
     /// result sums every intersection cell whose coordinate on `axis` is
-    /// `a`. Exact, because every [`GroupCounts`] field is additive — the
+    /// `a`. Exact, because every [`WindowCounters`] field is additive — the
     /// marginal a binary deployment would have monitored directly is
     /// recomputed from the intersection cells with no second pass.
     ///
     /// # Errors
     /// [`StreamError::Schema`] when `axis` is out of range or the counter
     /// slice does not have one entry per cell.
-    pub fn marginal(&self, counts: &[GroupCounts], axis: usize) -> Result<Vec<GroupCounts>> {
+    pub fn marginal(&self, counts: &[WindowCounters], axis: usize) -> Result<Vec<WindowCounters>> {
         if axis >= self.axes.len() {
             return Err(StreamError::Schema(format!(
                 "axis {axis} is outside the {}-axis layout",
@@ -146,7 +146,7 @@ impl GroupLayout {
                 self.cells
             )));
         }
-        let mut merged = vec![GroupCounts::default(); self.axes[axis]];
+        let mut merged = vec![WindowCounters::default(); self.axes[axis]];
         for (cell, c) in counts.iter().enumerate() {
             merged[self.coords_of(cell as u8)[axis]].merge(c);
         }
@@ -185,8 +185,8 @@ mod tests {
     #[test]
     fn marginals_sum_the_intersection_cells_exactly() {
         let layout = GroupLayout::new(vec![2, 3]).unwrap();
-        let counts: Vec<GroupCounts> = (0..6)
-            .map(|i| GroupCounts {
+        let counts: Vec<WindowCounters> = (0..6)
+            .map(|i| WindowCounters {
                 total: 10 + i,
                 selected: i,
                 violations: i / 2,

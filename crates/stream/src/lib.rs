@@ -75,6 +75,7 @@ pub mod telemetry;
 pub mod window;
 
 pub use async_engine::{AsyncConfig, AsyncEngine, BackpressurePolicy, DropCounters};
+pub use cf_telemetry::WindowCounters;
 pub use checkpoint::{EngineCheckpoint, ShardedCheckpoint, CHECKPOINT_VERSION};
 pub use drift::{DriftAlert, DriftKind, PageHinkley, PageHinkleyConfig, PageHinkleyState};
 pub use engine::{
@@ -93,8 +94,7 @@ pub use sharded::{
 pub use supervise::{Backoff, RepairConfig, ShardHealth, SupervisorConfig};
 pub use telemetry::StreamMetrics;
 pub use window::{
-    GroupCounts, JoinStats, LabelJoin, LabelSlot, PendingLabel, SlidingWindow, SlotMeta,
-    WindowState,
+    JoinStats, LabelJoin, LabelSlot, PendingLabel, SlidingWindow, SlotMeta, WindowState,
 };
 
 /// Errors surfaced by the streaming subsystem.

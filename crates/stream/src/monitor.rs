@@ -23,7 +23,7 @@
 //! detectable before a single label arrives, and the label-dependent
 //! metrics stay `None` (never a fabricated 0) until feedback joins.
 //!
-//! Each [`FairnessSnapshot`] is assembled in O(1) from [`GroupCounts`] —
+//! Each [`FairnessSnapshot`] is assembled in O(1) from [`WindowCounters`] —
 //! the counters the window maintains per event — never by rescanning
 //! tuples. The metrics deliberately mirror `cf-metrics`' definitions (§IV
 //! of the paper) — including the `DI* = min(DI, 1/DI)` symmetrisation with
@@ -37,7 +37,7 @@ use crate::drift::{DriftAlert, DriftKind, PageHinkley};
 use crate::engine::{LabelFeedback, RetrainPolicy, StreamConfig, StreamTuple};
 use crate::repair::{RepairLadder, RepairTier, RepairUpdate};
 use crate::telemetry::StreamMetrics;
-use crate::window::{GroupCounts, JoinStats, LabelJoin, SlidingWindow, SlotMeta};
+use crate::window::{JoinStats, LabelJoin, SlidingWindow, SlotMeta};
 use crate::{Result, StreamError};
 use cf_conformance::{learn_constraints, ConstraintSet};
 use cf_data::{
@@ -47,7 +47,7 @@ use cf_data::{
 use cf_learners::LearnerKind;
 use cf_telemetry::{
     FeedbackJoinEvent, IngestBatchEvent, ModelSwapEvent, RepairEndEvent, RepairStartEvent,
-    SharedSink, SnapshotData, TelemetryEvent, ThresholdChangeEvent,
+    SharedSink, SnapshotData, TelemetryEvent, ThresholdChangeEvent, WindowCounters,
 };
 use confair_core::{confair::ConFair, Intervention, Predictor};
 use std::borrow::Borrow;
@@ -108,11 +108,8 @@ impl FairnessSnapshot {
     /// replay recomputes snapshots through the *same* function, which is
     /// what makes an audit trail's replayed sequence byte-identical to
     /// the live one by construction.
-    pub fn from_counts(counts: &[GroupCounts], di_floor: f64) -> Self {
-        Self::from_data(SnapshotData::from_counters(
-            &crate::telemetry::both_counters(counts),
-            di_floor,
-        ))
+    pub fn from_counts(counts: &[WindowCounters], di_floor: f64) -> Self {
+        Self::from_data(SnapshotData::from_counters(counts, di_floor))
     }
 
     /// The EEOC four-fifths verdict: `Some(true)` when `DI* ≥ floor`,
@@ -548,10 +545,7 @@ impl Monitor {
         }
         // Counter deltas are only needed for the audit trail; without a
         // sink the copy (and everything else telemetry adds) is skipped.
-        let counts_before = self
-            .sink
-            .as_ref()
-            .map(|_| crate::telemetry::both_counters(self.window.counts()));
+        let counts_before = self.sink.as_ref().map(|_| self.window.counts().to_vec());
 
         let mut new_alerts = Vec::new();
         for (offset, (t, &decision)) in batch.iter().zip(decisions).enumerate() {
@@ -595,10 +589,8 @@ impl Monitor {
             // reproduces the classic rule: group U when `SR_U <= SR_W`,
             // else group W). The floor only fails when a worst pair
             // exists, so the fallback is unreachable in practice.
-            let disadvantaged = SnapshotData::disadvantaged_cell(&crate::telemetry::both_counters(
-                self.window.counts(),
-            ))
-            .unwrap_or(0) as u8;
+            let disadvantaged =
+                SnapshotData::disadvantaged_cell(self.window.counts()).unwrap_or(0) as u8;
             new_alerts.push(DriftAlert {
                 kind: DriftKind::DisparateImpactFloor,
                 group: disadvantaged,
@@ -615,7 +607,7 @@ impl Monitor {
         // moved-cell explanation), then any repair events.
         self.alerts.extend_from_slice(&new_alerts);
         if let Some(before) = counts_before {
-            let after = crate::telemetry::both_counters(self.window.counts());
+            let after = self.window.counts();
             self.emit(TelemetryEvent::IngestBatch(IngestBatchEvent {
                 first_id,
                 batch: batch.len() as u64,
@@ -765,7 +757,7 @@ impl Monitor {
             // Open an episode on the cheapest rung.
             self.ladder.batches_in_tier = 0;
             self.ladder.recovery_streak = 0;
-            self.ladder.work_us = 0;
+            self.ladder.work_ns = 0;
             self.ladder.active = Some(RepairTier::ThresholdNudge);
             self.emit_repair_start(RepairTier::ThresholdNudge);
         }
@@ -869,7 +861,7 @@ impl Monitor {
             let t0 = std::time::Instant::now();
             self.ladder.projection = true;
             update = Some(self.repair_update());
-            self.ladder.work_us += (t0.elapsed().as_micros() as u64).max(1);
+            self.ladder.work_ns += t0.elapsed().as_nanos() as u64;
         }
         (false, None, None, update)
     }
@@ -878,12 +870,10 @@ impl Monitor {
     /// `nudge_step`, clamped at `-nudge_max`. Returns whether a threshold
     /// actually moved (at the clamp, nudging is exhausted and the batch
     /// only burns patience). Emits the `threshold_change` trail event and
-    /// counts repair work into the episode's `work_us`.
+    /// counts repair work into the episode's `work_ns`.
     fn nudge_disadvantaged_cell(&mut self) -> bool {
         let t0 = std::time::Instant::now();
-        let Some(cell) = SnapshotData::disadvantaged_cell(&crate::telemetry::both_counters(
-            self.window.counts(),
-        )) else {
+        let Some(cell) = SnapshotData::disadvantaged_cell(self.window.counts()) else {
             return false;
         };
         let Some(slot) = self.ladder.thresholds.get_mut(cell) else {
@@ -896,7 +886,7 @@ impl Monitor {
             return false;
         }
         *slot = nudged;
-        self.ladder.work_us += (t0.elapsed().as_micros() as u64).max(1);
+        self.ladder.work_ns += t0.elapsed().as_nanos() as u64;
         if let Some(m) = &self.metrics {
             m.threshold_nudges_total.inc();
         }
@@ -930,7 +920,7 @@ impl Monitor {
         self.ladder.reset_artifacts();
         self.ladder.batches_in_tier = 0;
         self.ladder.recovery_streak = 0;
-        self.ladder.work_us = 0;
+        self.ladder.work_ns = 0;
         if let Some(m) = &self.metrics {
             m.repair_tier.set(0.0);
         }
@@ -952,7 +942,7 @@ impl Monitor {
             tier: tier.wire_name().into(),
             outcome: outcome.into(),
             error,
-            duration_us: self.ladder.work_us,
+            duration_us: self.ladder.work_us(),
             retrains: self.retrains,
         }));
     }
@@ -1006,7 +996,7 @@ impl Monitor {
             .sink
             .as_ref()
             .filter(|_| !feedback.is_empty())
-            .map(|_| crate::telemetry::both_counters(self.window.counts()));
+            .map(|_| self.window.counts().to_vec());
         let (mut joined, mut joined_late, mut duplicates, mut unmatched) = (0, 0, 0, 0);
         for record in feedback {
             match self.window.feedback(record.id, record.label) {
@@ -1021,7 +1011,7 @@ impl Monitor {
         }
         let snapshot = self.snapshot();
         if let Some(before) = counts_before {
-            let after = crate::telemetry::both_counters(self.window.counts());
+            let after = self.window.counts();
             self.emit(TelemetryEvent::FeedbackJoin(FeedbackJoinEvent {
                 at_tuple: self.seen,
                 records: feedback.len() as u64,
@@ -1119,7 +1109,7 @@ impl Monitor {
     }
 
     /// The raw windowed per-cell counters (index = group cell id, `0..K`).
-    pub fn window_counts(&self) -> &[GroupCounts] {
+    pub fn window_counts(&self) -> &[WindowCounters] {
         self.window.counts()
     }
 
@@ -1260,8 +1250,8 @@ mod tests {
     use super::*;
 
     /// A fully-labeled group's counters (every decision's label joined).
-    fn counts(total: u64, selected: u64, label_pos: u64, tp: u64, viol: u64) -> GroupCounts {
-        GroupCounts {
+    fn counts(total: u64, selected: u64, label_pos: u64, tp: u64, viol: u64) -> WindowCounters {
+        WindowCounters {
             total,
             selected,
             violations: viol,
@@ -1312,7 +1302,7 @@ mod tests {
     #[test]
     fn single_group_stream_yields_none_not_nan() {
         let s = FairnessSnapshot::from_counts(
-            &[counts(100, 60, 50, 40, 3), GroupCounts::default()],
+            &[counts(100, 60, 50, 40, 3), WindowCounters::default()],
             0.8,
         );
         assert_eq!(s.disparate_impact, None);

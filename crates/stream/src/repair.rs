@@ -105,9 +105,11 @@ pub struct RepairLadder {
     pub(crate) thresholds: Vec<f64>,
     /// Whether the tier-2 conformance projection is installed.
     pub(crate) projection: bool,
-    /// Repair work (µs) accumulated by the open episode — what
-    /// `repair_end` reports as the tier's repair-to-recovery cost.
-    pub(crate) work_us: u64,
+    /// Repair work (ns) accumulated by the open episode — what
+    /// `repair_end` reports, in whole µs rounded up, as the tier's
+    /// repair-to-recovery cost. Counted in ns so that many sub-µs steps
+    /// are not each rounded up to a full µs.
+    pub(crate) work_ns: u64,
 }
 
 impl RepairLadder {
@@ -119,7 +121,7 @@ impl RepairLadder {
             recovery_streak: 0,
             thresholds: vec![0.0; cells],
             projection: false,
-            work_us: 0,
+            work_ns: 0,
         }
     }
 
@@ -137,6 +139,12 @@ impl RepairLadder {
     /// The per-cell margin cutoffs currently installed.
     pub fn thresholds(&self) -> &[f64] {
         &self.thresholds
+    }
+
+    /// The accumulated repair work in whole µs, rounded up — the unit
+    /// `repair_end` events and checkpoints carry.
+    pub(crate) fn work_us(&self) -> u64 {
+        self.work_ns.div_ceil(1_000)
     }
 
     /// Reset every repair artifact to the identity (a successful retrain

@@ -32,9 +32,8 @@ use crate::engine::{
 use crate::monitor::{FairnessSnapshot, FeedbackOutcome};
 use crate::repair::RepairTier;
 use crate::telemetry::StreamMetrics;
-use crate::window::GroupCounts;
 use crate::{Result, StreamError};
-use cf_telemetry::{MetricsRegistry, SharedSink};
+use cf_telemetry::{MetricsRegistry, SharedSink, WindowCounters};
 
 /// One observation addressed to a shard.
 #[derive(Debug, Clone, PartialEq)]
@@ -175,7 +174,7 @@ pub trait Shard {
     fn id_clock(&self) -> u64;
     /// Add this shard's windowed per-cell counters (an async shard's
     /// latest published ones) into `merged`, cell by cell.
-    fn merge_counts(&self, merged: &mut [GroupCounts]);
+    fn merge_counts(&self, merged: &mut [WindowCounters]);
     /// The rung of this shard's open repair-ladder episode (`None` while
     /// its ladder is idle or disabled).
     fn repair_tier(&self) -> Option<RepairTier>;
@@ -196,7 +195,7 @@ impl Shard for StreamEngine {
     fn id_clock(&self) -> u64 {
         self.ids_issued()
     }
-    fn merge_counts(&self, merged: &mut [GroupCounts]) {
+    fn merge_counts(&self, merged: &mut [WindowCounters]) {
         for (cell, counts) in merged.iter_mut().zip(self.window_counts()) {
             cell.merge(counts);
         }
@@ -220,7 +219,7 @@ impl Shard for AsyncEngine {
     fn id_clock(&self) -> u64 {
         self.tuples_scored()
     }
-    fn merge_counts(&self, merged: &mut [GroupCounts]) {
+    fn merge_counts(&self, merged: &mut [WindowCounters]) {
         for (cell, counts) in merged.iter_mut().zip(self.window_counts()) {
             cell.merge(&counts);
         }
@@ -346,8 +345,8 @@ impl<E: Shard> Sharded<E> {
     /// checks pinned every shard to the same cell layout). An async fleet
     /// merges each shard's latest published counters: exact after a flush,
     /// otherwise each shard lags by at most its queue backlog.
-    pub fn merged_counts(&self) -> Vec<GroupCounts> {
-        let mut merged = vec![GroupCounts::default(); self.shards[0].config().groups];
+    pub fn merged_counts(&self) -> Vec<WindowCounters> {
+        let mut merged = vec![WindowCounters::default(); self.shards[0].config().groups];
         for engine in &self.shards {
             engine.merge_counts(&mut merged);
         }
@@ -917,7 +916,7 @@ mod tests {
         let batch = routed_batch(4, 400, 7);
         let outcome = engine.ingest(&batch).unwrap();
 
-        let mut summed = [GroupCounts::default(); 2];
+        let mut summed = [WindowCounters::default(); 2];
         for s in 0..4 {
             let counts = engine.shard(s).unwrap().window_counts();
             summed[0].merge(&counts[0]);

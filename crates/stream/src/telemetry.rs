@@ -1,12 +1,16 @@
 //! Glue between the stream engines and the `cf-telemetry` plane.
 //!
-//! Two jobs live here. First, the **type bridges**: the engines' own
-//! `GroupCounts` / [`FairnessSnapshot`] / [`DriftAlert`] convert to the
-//! serialisable mirrors `cf-telemetry` defines, and —crucially—
-//! [`FairnessSnapshot::from_counts`] *delegates* its arithmetic to
-//! [`SnapshotData::from_counters`], so a live snapshot and one recomputed
-//! by [`cf_telemetry::replay()`] are products of the same code path: the
-//! audit trail's byte-identity is structural, not coincidental.
+//! Two jobs live here. First, the **snapshot bridge**. The window's
+//! counters and the alerts need none: `cf-telemetry` defines
+//! [`WindowCounters`](cf_telemetry::WindowCounters) and [`DriftAlert`],
+//! the engines keep them, and the trail records them as they are. Only
+//! [`FairnessSnapshot`] has a trail twin, [`SnapshotData`], because it
+//! carries the live engine's degraded flag on top of the counter
+//! arithmetic. [`FairnessSnapshot::from_counts`] *delegates* that
+//! arithmetic to [`SnapshotData::from_counters`], so a live snapshot and
+//! one recomputed by [`cf_telemetry::replay()`] are products of the same
+//! code path: the audit trail's byte-identity is structural, not
+//! coincidental.
 //!
 //! Second, [`StreamMetrics`]: the engines' scrape surface on a
 //! [`MetricsRegistry`]. One registration covers both engine halves — the
@@ -16,29 +20,10 @@
 
 use crate::drift::{DriftAlert, DriftKind};
 use crate::monitor::FairnessSnapshot;
-use crate::window::GroupCounts;
 use cf_telemetry::{
-    log2_buckets, AlertData, AlertExplanation, Counter, DriftAlertEvent, Gauge, Histogram,
-    MetricsRegistry, SnapshotData, TelemetryEvent, WindowCounters,
+    log2_buckets, AlertExplanation, Counter, DriftAlertEvent, Gauge, Histogram, MetricsRegistry,
+    SnapshotData, TelemetryEvent,
 };
-
-/// Mirror one group cell's window counters into the telemetry type.
-pub(crate) fn window_counters(c: &GroupCounts) -> WindowCounters {
-    WindowCounters {
-        total: c.total,
-        selected: c.selected,
-        violations: c.violations,
-        labeled: c.labeled,
-        label_positive: c.label_positive,
-        true_positive: c.true_positive,
-        false_positive: c.false_positive,
-    }
-}
-
-/// Mirror every group cell at once (index = group cell id, `0..K`).
-pub(crate) fn both_counters(counts: &[GroupCounts]) -> Vec<WindowCounters> {
-    counts.iter().map(window_counters).collect()
-}
 
 impl FairnessSnapshot {
     /// The serialisable telemetry mirror of this reading (field-for-field
@@ -75,17 +60,6 @@ impl FairnessSnapshot {
             di_floor: data.di_floor,
             degraded: false,
         }
-    }
-}
-
-/// Mirror an alert into its audit-trail form.
-pub(crate) fn alert_data(alert: &DriftAlert) -> AlertData {
-    AlertData {
-        kind: alert.kind.wire_name().to_string(),
-        group: alert.group,
-        at_tuple: alert.at_tuple,
-        statistic: alert.statistic,
-        threshold: alert.threshold,
     }
 }
 
@@ -142,7 +116,7 @@ pub(crate) fn alert_event(alert: &DriftAlert, snapshot: &FairnessSnapshot) -> Te
     };
     TelemetryEvent::DriftAlert(DriftAlertEvent {
         at_tuple: alert.at_tuple,
-        alert: alert_data(alert),
+        alert: alert.clone(),
         explanation: AlertExplanation {
             cell,
             selection_rate: snapshot.selection_rate.clone(),
@@ -350,11 +324,12 @@ impl StreamMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cf_telemetry::WindowCounters;
 
     #[test]
     fn snapshot_mirrors_are_lossless() {
         let counts = [
-            GroupCounts {
+            WindowCounters {
                 total: 40,
                 selected: 22,
                 violations: 1,
@@ -363,7 +338,7 @@ mod tests {
                 true_positive: 15,
                 false_positive: 4,
             },
-            GroupCounts {
+            WindowCounters {
                 total: 36,
                 selected: 12,
                 violations: 5,
@@ -374,14 +349,14 @@ mod tests {
             },
         ];
         let live = FairnessSnapshot::from_counts(&counts, 0.8);
-        let mirrored = SnapshotData::from_counters(&both_counters(&counts), 0.8);
+        let mirrored = SnapshotData::from_counters(&counts, 0.8);
         assert_eq!(live.to_data(), mirrored, "one arithmetic, two entry points");
         assert_eq!(FairnessSnapshot::from_data(mirrored), live);
     }
 
     #[test]
     fn alert_event_explains_the_moved_cell() {
-        let counts = [GroupCounts::default(), GroupCounts::default()];
+        let counts = [WindowCounters::default(); 2];
         let snapshot = FairnessSnapshot::from_counts(&counts, 0.8);
         let alert = DriftAlert {
             kind: DriftKind::ConformanceViolation,
@@ -394,7 +369,7 @@ mod tests {
         let TelemetryEvent::DriftAlert(e) = &event else {
             panic!("expected a drift alert event");
         };
-        assert_eq!(e.alert.kind, "conformance_violation");
+        assert_eq!(e.alert, alert);
         assert_eq!(e.explanation.cell, "group=1/decision");
         assert!(e.explanation.summary.contains("13.5"));
         assert_eq!(e.at_tuple, 321);

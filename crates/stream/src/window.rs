@@ -22,10 +22,11 @@
 //! ([`JoinStats::pending_evicted`]) — labels for dropped entries can never
 //! join and are counted as [`JoinStats::unmatched`].
 //!
-//! Every fairness monitor in this crate reads from [`GroupCounts`], which
-//! the two rings maintain incrementally: one increment for an arriving
-//! entry, one decrement for an evicted one. No monitor ever scans a ring —
-//! that is the invariant that keeps per-tuple ingestion O(1)
+//! Every fairness monitor in this crate reads the per-cell
+//! [`WindowCounters`] (the `cf-telemetry` type the audit trail records as
+//! is), which the two rings maintain incrementally: one increment for an
+//! arriving entry, one decrement for an evicted one. No monitor ever scans
+//! a ring — that is the invariant that keeps per-tuple ingestion O(1)
 //! (property-checked in this module's tests and load-tested by the
 //! `stream_ingest` benchmark). Joins are O(log n): an id lookup is a
 //! binary search over the decision ring (slot ids are strictly
@@ -45,6 +46,7 @@
 //! [`Monitor`]: crate::Monitor
 
 use crate::{Result, StreamError};
+use cf_telemetry::WindowCounters;
 use std::collections::BTreeMap;
 
 /// The per-tuple metadata retained in the decision ring (the feature
@@ -91,97 +93,35 @@ pub struct PendingLabel {
     pub decision: u8,
 }
 
-/// Windowed tallies for one group across both planes, every one maintained
-/// in O(1) per event.
-///
-/// Decision-plane fields (`total`, `selected`, `violations`) track the
-/// decision ring and are current the moment a tuple is served;
-/// label-plane fields (`labeled`, `label_positive`, `true_positive`,
-/// `false_positive`) track the label ring and advance only as ground truth
-/// joins.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GroupCounts {
-    /// Tuples of this group currently in the decision ring.
-    pub total: u64,
-    /// Tuples with decision 1 (selected).
-    pub selected: u64,
-    /// Tuples violating their reference conformance constraints.
-    pub violations: u64,
-    /// Joined `(decision, label)` pairs currently in the label ring.
-    pub labeled: u64,
-    /// Joined pairs with ground-truth label 1.
-    pub label_positive: u64,
-    /// Selected among label-positive pairs (windowed true positives).
-    pub true_positive: u64,
-    /// Selected among label-negative pairs (windowed false positives).
-    pub false_positive: u64,
+/// Fold a decision-ring slot into (`sign = 1`) or out of (`sign = -1`)
+/// its cell's counters.
+fn apply_decision(c: &mut WindowCounters, slot: &SlotMeta, sign: i64) {
+    let add = |c: &mut u64| {
+        *c = c.wrapping_add_signed(sign);
+    };
+    add(&mut c.total);
+    if slot.decision == 1 {
+        add(&mut c.selected);
+    }
+    if slot.violated {
+        add(&mut c.violations);
+    }
 }
 
-impl GroupCounts {
-    /// Fold a decision-ring slot in (`sign = 1`) or out (`sign = -1`).
-    fn apply_decision(&mut self, slot: &SlotMeta, sign: i64) {
-        let add = |c: &mut u64| {
-            *c = c.wrapping_add_signed(sign);
-        };
-        add(&mut self.total);
-        if slot.decision == 1 {
-            add(&mut self.selected);
+/// Fold a label-ring pair into (`sign = 1`) or out of (`sign = -1`) its
+/// cell's counters.
+fn apply_label(c: &mut WindowCounters, pair: &LabelSlot, sign: i64) {
+    let add = |c: &mut u64| {
+        *c = c.wrapping_add_signed(sign);
+    };
+    add(&mut c.labeled);
+    if pair.label == 1 {
+        add(&mut c.label_positive);
+        if pair.decision == 1 {
+            add(&mut c.true_positive);
         }
-        if slot.violated {
-            add(&mut self.violations);
-        }
-    }
-
-    /// Fold a label-ring pair in (`sign = 1`) or out (`sign = -1`).
-    fn apply_label(&mut self, pair: &LabelSlot, sign: i64) {
-        let add = |c: &mut u64| {
-            *c = c.wrapping_add_signed(sign);
-        };
-        add(&mut self.labeled);
-        if pair.label == 1 {
-            add(&mut self.label_positive);
-            if pair.decision == 1 {
-                add(&mut self.true_positive);
-            }
-        } else if pair.decision == 1 {
-            add(&mut self.false_positive);
-        }
-    }
-
-    /// Fold another group's tallies into this one. The counters are all
-    /// additive, which is what makes cross-shard snapshot merging exact.
-    pub fn merge(&mut self, other: &GroupCounts) {
-        self.total += other.total;
-        self.selected += other.selected;
-        self.violations += other.violations;
-        self.labeled += other.labeled;
-        self.label_positive += other.label_positive;
-        self.true_positive += other.true_positive;
-        self.false_positive += other.false_positive;
-    }
-
-    /// Windowed selection rate `P(ŷ=1 | g)` (decision plane).
-    pub fn selection_rate(&self) -> Option<f64> {
-        (self.total > 0).then(|| self.selected as f64 / self.total as f64)
-    }
-
-    /// Windowed conformance-violation rate (decision plane).
-    pub fn violation_rate(&self) -> Option<f64> {
-        (self.total > 0).then(|| self.violations as f64 / self.total as f64)
-    }
-
-    /// Windowed true-positive rate `P(ŷ=1 | y=1, g)` over joined pairs.
-    /// `None` until at least one positive label has joined — a cell with
-    /// decisions but no ground truth yet has no TPR, not a TPR of 0.
-    pub fn tpr(&self) -> Option<f64> {
-        (self.label_positive > 0).then(|| self.true_positive as f64 / self.label_positive as f64)
-    }
-
-    /// Windowed false-positive rate `P(ŷ=1 | y=0, g)` over joined pairs.
-    /// `None` until at least one negative label has joined.
-    pub fn fpr(&self) -> Option<f64> {
-        let negatives = self.labeled - self.label_positive;
-        (negatives > 0).then(|| self.false_positive as f64 / negatives as f64)
+    } else if pair.decision == 1 {
+        add(&mut c.false_positive);
     }
 }
 
@@ -259,7 +199,7 @@ pub struct SlidingWindow {
     joins: JoinStats,
     /// Group-cell count K (the length of `counts`).
     groups: usize,
-    counts: Vec<GroupCounts>,
+    counts: Vec<WindowCounters>,
 }
 
 impl SlidingWindow {
@@ -295,7 +235,7 @@ impl SlidingWindow {
             pending_capacity,
             joins: JoinStats::default(),
             groups,
-            counts: vec![GroupCounts::default(); groups],
+            counts: vec![WindowCounters::default(); groups],
         })
     }
 
@@ -347,7 +287,7 @@ impl SlidingWindow {
     fn push_decision_only(&mut self, meta: SlotMeta, features: &[f64]) -> Result<()> {
         let g = meta.group as usize;
         if self.len < self.capacity {
-            self.counts[g].apply_decision(&meta, 1);
+            apply_decision(&mut self.counts[g], &meta, 1);
             self.meta.push(meta);
             self.arena.extend_from_slice(features);
             self.len += 1;
@@ -355,11 +295,11 @@ impl SlidingWindow {
             return Ok(());
         }
         let evicted = self.meta[self.head];
-        self.counts[evicted.group as usize].apply_decision(&evicted, -1);
+        apply_decision(&mut self.counts[evicted.group as usize], &evicted, -1);
         if evicted.label.is_none() {
             self.remember_pending(evicted);
         }
-        self.counts[g].apply_decision(&meta, 1);
+        apply_decision(&mut self.counts[g], &meta, 1);
         self.meta[self.head] = meta;
         self.arena[self.head * self.dim..(self.head + 1) * self.dim].copy_from_slice(features);
         self.head = (self.head + 1) % self.capacity;
@@ -384,14 +324,14 @@ impl SlidingWindow {
     /// Push one joined pair into the label ring, evicting the oldest pair
     /// when full.
     fn push_label(&mut self, pair: LabelSlot) {
-        self.counts[pair.group as usize].apply_label(&pair, 1);
+        apply_label(&mut self.counts[pair.group as usize], &pair, 1);
         if self.label_len < self.capacity {
             self.labels.push(pair);
             self.label_len += 1;
             return;
         }
         let evicted = self.labels[self.label_head];
-        self.counts[evicted.group as usize].apply_label(&evicted, -1);
+        apply_label(&mut self.counts[evicted.group as usize], &evicted, -1);
         self.labels[self.label_head] = pair;
         self.label_head = (self.label_head + 1) % self.capacity;
     }
@@ -516,7 +456,7 @@ impl SlidingWindow {
 
     /// The windowed per-cell counters (K-length, index = group id),
     /// covering both planes.
-    pub fn counts(&self) -> &[GroupCounts] {
+    pub fn counts(&self) -> &[WindowCounters] {
         &self.counts
     }
 
@@ -719,13 +659,13 @@ mod tests {
 
     /// Recompute the counters by scanning both rings — the O(n) ground
     /// truth the O(1) incremental path must match.
-    fn brute_counts(w: &SlidingWindow) -> Vec<GroupCounts> {
-        let mut counts = vec![GroupCounts::default(); w.groups()];
+    fn brute_counts(w: &SlidingWindow) -> Vec<WindowCounters> {
+        let mut counts = vec![WindowCounters::default(); w.groups()];
         for (m, _) in w.iter() {
-            counts[m.group as usize].apply_decision(&m, 1);
+            apply_decision(&mut counts[m.group as usize], &m, 1);
         }
         for pair in w.iter_labels() {
-            counts[pair.group as usize].apply_label(&pair, 1);
+            apply_label(&mut counts[pair.group as usize], &pair, 1);
         }
         counts
     }
@@ -830,7 +770,7 @@ mod tests {
 
     #[test]
     fn merge_is_componentwise_addition() {
-        let mut a = GroupCounts {
+        let mut a = WindowCounters {
             total: 5,
             selected: 3,
             violations: 4,
@@ -839,7 +779,7 @@ mod tests {
             true_positive: 1,
             false_positive: 2,
         };
-        let b = GroupCounts {
+        let b = WindowCounters {
             total: 7,
             selected: 1,
             violations: 2,
@@ -860,7 +800,7 @@ mod tests {
 
     #[test]
     fn rates_handle_empty_denominators() {
-        let c = GroupCounts::default();
+        let c = WindowCounters::default();
         assert_eq!(c.selection_rate(), None);
         assert_eq!(c.tpr(), None);
         assert_eq!(c.fpr(), None);
@@ -880,6 +820,15 @@ mod tests {
         assert_eq!(c.tpr(), None, "still no positive labels");
         assert_eq!(c.fpr(), Some(1.0));
         assert_eq!(c.selection_rate(), Some(1.0));
+
+        // Counters read from an untrusted trail may be inconsistent; more
+        // positives than joined pairs has no FPR rather than a panic.
+        let corrupt = WindowCounters {
+            labeled: 1,
+            label_positive: 2,
+            ..WindowCounters::default()
+        };
+        assert_eq!(corrupt.fpr(), None);
     }
 
     #[test]

@@ -531,7 +531,7 @@ fn single_cell_drift_alerts_only_that_cells_detector() {
 /// through a K=8 `sex × race` window and through the two collapsed
 /// per-axis windows yields marginal counters that agree **exactly** on
 /// every field — selection, violations, label joins and all — because
-/// `GroupCounts` is additive and [`GroupLayout::marginal`] is plain
+/// `WindowCounters` is additive and [`GroupLayout::marginal`] is plain
 /// summation.
 #[test]
 fn intersection_cells_sum_to_their_parent_marginals() {

@@ -667,7 +667,7 @@ fn marginals_stay_exactly_additive_under_nudges() {
         let marginal = layout.marginal(counts, axis).unwrap();
         // Every marginal cell is the exact sum of its constituent cells.
         for (m, cell) in marginal.iter().enumerate() {
-            let mut expect = cf_stream::GroupCounts::default();
+            let mut expect = cf_stream::WindowCounters::default();
             for (c, full) in counts.iter().enumerate() {
                 let coords = [c / 2, c % 2];
                 if coords[axis] == m {

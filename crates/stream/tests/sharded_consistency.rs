@@ -10,8 +10,8 @@
 use cf_datasets::stream::{DriftStream, DriftStreamSpec};
 use cf_learners::LearnerKind;
 use cf_stream::{
-    FairnessSnapshot, GroupCounts, RetrainPolicy, ShardedEngine, ShardedTuple, StreamConfig,
-    StreamEngine, StreamTuple,
+    FairnessSnapshot, RetrainPolicy, ShardedEngine, ShardedTuple, StreamConfig, StreamEngine,
+    StreamTuple, WindowCounters,
 };
 use confair_core::confair::{AlphaMode, ConFairConfig};
 use proptest::prelude::*;
@@ -116,7 +116,7 @@ proptest! {
 
             // The aggregate snapshot is exactly a recomputation from the
             // summed per-shard counters.
-            let mut summed = [GroupCounts::default(); 2];
+            let mut summed = [WindowCounters::default(); 2];
             for shard in 0..n_shards {
                 let counts = sharded.shard(shard as u32).unwrap().window_counts();
                 summed[0].merge(&counts[0]);

@@ -11,13 +11,11 @@
 use cf_datasets::stream::{DriftStream, DriftStreamSpec};
 use cf_learners::LearnerKind;
 use cf_stream::{
-    AsyncConfig, AsyncEngine, BackpressurePolicy, DriftAlert, GroupCounts, LabelFeedback,
-    RetrainPolicy, ShardedAsyncEngine, ShardedEngine, ShardedFeedback, ShardedTuple, StreamConfig,
-    StreamEngine, StreamTuple,
+    AsyncConfig, AsyncEngine, BackpressurePolicy, LabelFeedback, RetrainPolicy, ShardedAsyncEngine,
+    ShardedEngine, ShardedFeedback, ShardedTuple, StreamConfig, StreamEngine, StreamTuple,
 };
 use cf_telemetry::{
-    replay, replay_file, AlertData, JsonlSink, RingSink, SharedSink, SnapshotData, TelemetryEvent,
-    WindowCounters,
+    replay, replay_file, JsonlSink, RingSink, SharedSink, SnapshotData, TelemetryEvent,
 };
 use confair_core::confair::{AlphaMode, ConFairConfig};
 use proptest::prelude::*;
@@ -67,32 +65,6 @@ fn jsonl_of(events: &[TelemetryEvent]) -> String {
         .map(|e| serde_json::to_string(e).unwrap())
         .collect::<Vec<_>>()
         .join("\n")
-}
-
-fn mirror(c: &GroupCounts) -> WindowCounters {
-    WindowCounters {
-        total: c.total,
-        selected: c.selected,
-        violations: c.violations,
-        labeled: c.labeled,
-        label_positive: c.label_positive,
-        true_positive: c.true_positive,
-        false_positive: c.false_positive,
-    }
-}
-
-fn mirror_both(counts: &[GroupCounts]) -> Vec<WindowCounters> {
-    counts.iter().map(mirror).collect()
-}
-
-fn alert_mirror(a: &DriftAlert) -> AlertData {
-    AlertData {
-        kind: a.kind.wire_name().to_string(),
-        group: a.group,
-        at_tuple: a.at_tuple,
-        statistic: a.statistic,
-        threshold: a.threshold,
-    }
 }
 
 /// Strip the tuple's label so ground truth can arrive later as feedback.
@@ -164,10 +136,8 @@ proptest! {
         let run = replay(&jsonl_of(&events_of(&ring))).unwrap();
         prop_assert_eq!(&run.snapshots, &live_snapshots,
             "replayed snapshot sequence == live sequence");
-        let live_alerts: Vec<AlertData> =
-            engine.alerts().iter().map(alert_mirror).collect();
-        prop_assert_eq!(&run.alerts, &live_alerts);
-        prop_assert_eq!(run.counters, mirror_both(engine.window_counts()));
+        prop_assert_eq!(run.alerts.as_slice(), engine.alerts());
+        prop_assert_eq!(run.counters.as_slice(), engine.window_counts());
         prop_assert_eq!(run.retrains, engine.retrain_count());
         prop_assert_eq!(run.dropped_tuples, 0u64);
     }
@@ -256,10 +226,8 @@ proptest! {
         // And the async trail replays into the live sequences.
         let run = replay(&jsonl_of(&async_events)).unwrap();
         prop_assert_eq!(&run.snapshots, &live_snapshots);
-        let live_alerts: Vec<AlertData> =
-            anc.alerts().iter().map(alert_mirror).collect();
-        prop_assert_eq!(&run.alerts, &live_alerts);
-        prop_assert_eq!(run.counters, mirror_both(&anc.window_counts()[..]));
+        prop_assert_eq!(run.alerts, anc.alerts());
+        prop_assert_eq!(run.counters, anc.window_counts());
     }
 
     /// Sharded: every shard keeps its own trail, and each replays
@@ -350,10 +318,8 @@ proptest! {
             prop_assert_eq!(&run.snapshots, &live[s],
                 "shard {} trail replays its own sequence", s);
             let shard = engine.shard(s as u32).unwrap();
-            prop_assert_eq!(run.counters, mirror_both(shard.window_counts()));
-            let live_alerts: Vec<AlertData> =
-                shard.alerts().iter().map(alert_mirror).collect();
-            prop_assert_eq!(&run.alerts, &live_alerts);
+            prop_assert_eq!(run.counters.as_slice(), shard.window_counts());
+            prop_assert_eq!(run.alerts.as_slice(), shard.alerts());
         }
     }
 }
@@ -401,7 +367,7 @@ fn sharded_async_trails_replay_at_quiescence() {
     for (s, ring) in rings.iter().enumerate() {
         let run = replay(&jsonl_of(&events_of(ring))).unwrap();
         let shard = anc.shard(s as u32).unwrap();
-        assert_eq!(run.counters, mirror_both(&shard.window_counts()[..]));
+        assert_eq!(run.counters, shard.window_counts());
         assert_eq!(
             run.snapshots.last().unwrap(),
             &shard.snapshot().to_data(),
@@ -559,7 +525,7 @@ fn try_drop_run(seed: u64) -> bool {
     // post-drop sequence, not the lossless fiction.
     let run = replay(&jsonl_of(&events)).unwrap();
     assert_eq!(run.dropped_tuples, dropped.tuples);
-    assert_eq!(run.counters, mirror_both(&anc.window_counts()[..]));
+    assert_eq!(run.counters, anc.window_counts());
     assert_eq!(
         cf_stream::FairnessSnapshot::from_data(SnapshotData::from_counters(
             &run.counters,
@@ -568,8 +534,7 @@ fn try_drop_run(seed: u64) -> bool {
         anc.snapshot(),
         "replayed counters recompute the live post-drop snapshot"
     );
-    let live_alerts: Vec<AlertData> = anc.alerts().iter().map(alert_mirror).collect();
-    assert_eq!(run.alerts, live_alerts);
+    assert_eq!(run.alerts, anc.alerts());
     true
 }
 
@@ -603,7 +568,7 @@ fn restored_trail_reanchors_and_replays_standalone() {
 
     // The first trail replays on its own (and ends at the checkpoint).
     let first_run = replay_file(&first_path).unwrap();
-    assert_eq!(first_run.counters, mirror_both(engine.window_counts()));
+    assert_eq!(first_run.counters, engine.window_counts());
 
     // Restore into a new trail: no shared history with the first file.
     let second_sink = cf_telemetry::shared_sink(JsonlSink::create(&second_path).unwrap());
@@ -620,7 +585,7 @@ fn restored_trail_reanchors_and_replays_standalone() {
         &second_run.snapshots, &live_snapshots,
         "the restored event's absolute counters re-anchor the replay"
     );
-    assert_eq!(second_run.counters, mirror_both(restored.window_counts()));
+    assert_eq!(second_run.counters, restored.window_counts());
 
     let _ = std::fs::remove_file(&first_path);
     let _ = std::fs::remove_file(&second_path);

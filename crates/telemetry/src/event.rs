@@ -13,17 +13,25 @@
 //! subgroup-drift observation that "an alert fired" is not auditable
 //! evidence; *which distribution moved, and by how much*, is.
 //!
-//! This crate deliberately owns the snapshot arithmetic:
-//! `cf-stream`'s `FairnessSnapshot::from_counts` delegates to
-//! [`SnapshotData::from_counters`], so a replayed snapshot and a live one
-//! are computed by the *same* code path and byte-identical serialisation
-//! is a structural guarantee, not a test-enforced coincidence.
+//! This crate deliberately owns the snapshot arithmetic and the types it
+//! reads: `cf-stream`'s window keeps its tallies in [`WindowCounters`],
+//! its detectors raise [`DriftAlert`]s, and its
+//! `FairnessSnapshot::from_counts` delegates to
+//! [`SnapshotData::from_counters`]. A replayed snapshot and a live one
+//! are therefore computed by the *same* code path from the *same* type,
+//! and byte-identical serialisation is a structural guarantee, not a
+//! test-enforced coincidence.
 
 use serde::{Deserialize, Error, Serialize, Value};
 
-/// Per-group windowed counters, mirroring the stream window's group cell.
+/// Windowed tallies for one group cell across both planes of the stream
+/// window, each maintained in O(1) per event. The stream engines keep
+/// their window in this type and the audit trail records it as is, so a
+/// live reading and a replayed one start from the same counters.
+///
 /// Decision-plane fields (`total`, `selected`, `violations`) advance as
-/// tuples are served; label-plane fields advance as ground truth joins.
+/// tuples are served; label-plane fields (`labeled`, `label_positive`,
+/// `true_positive`, `false_positive`) advance only as ground truth joins.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WindowCounters {
     /// Tuples of this group currently in the decision ring.
@@ -32,7 +40,7 @@ pub struct WindowCounters {
     pub selected: u64,
     /// Tuples violating their reference conformance constraints.
     pub violations: u64,
-    /// Joined `(decision, label)` pairs in the label plane.
+    /// Joined `(decision, label)` pairs currently in the label ring.
     pub labeled: u64,
     /// Label-positive pairs among `labeled`.
     pub label_positive: u64,
@@ -102,6 +110,19 @@ impl WindowCounters {
         })
     }
 
+    /// Fold another cell's tallies into this one. Every counter is
+    /// additive, which is what makes cross-shard and marginal merging
+    /// exact.
+    pub fn merge(&mut self, other: &WindowCounters) {
+        self.total += other.total;
+        self.selected += other.selected;
+        self.violations += other.violations;
+        self.labeled += other.labeled;
+        self.label_positive += other.label_positive;
+        self.true_positive += other.true_positive;
+        self.false_positive += other.false_positive;
+    }
+
     /// Windowed selection rate `P(ŷ=1 | g)` (decision plane).
     pub fn selection_rate(&self) -> Option<f64> {
         (self.total > 0).then(|| self.selected as f64 / self.total as f64)
@@ -112,10 +133,20 @@ impl WindowCounters {
         (self.total > 0).then(|| self.violations as f64 / self.total as f64)
     }
 
-    /// Windowed true-positive rate over joined pairs; `None` until a
-    /// positive label has joined.
+    /// Windowed true-positive rate `P(ŷ=1 | y=1, g)` over joined pairs.
+    /// `None` until at least one positive label has joined — a cell with
+    /// decisions but no ground truth yet has no TPR, not a TPR of 0.
     pub fn tpr(&self) -> Option<f64> {
         (self.label_positive > 0).then(|| self.true_positive as f64 / self.label_positive as f64)
+    }
+
+    /// Windowed false-positive rate `P(ŷ=1 | y=0, g)` over joined pairs.
+    /// `None` until at least one negative label has joined, and for
+    /// inconsistent counters (more positives than joined pairs, as a
+    /// corrupt trail can carry).
+    pub fn fpr(&self) -> Option<f64> {
+        let negatives = self.labeled.checked_sub(self.label_positive)?;
+        (negatives > 0).then(|| self.false_positive as f64 / negatives as f64)
     }
 }
 
@@ -256,21 +287,81 @@ fn worst_pair_of(sr: &[Option<f64>]) -> Option<(usize, usize)> {
     worst.map(|(pair, _)| pair)
 }
 
-/// A drift alert as recorded in the audit trail (the serialisable twin of
-/// `cf-stream`'s `DriftAlert`; `kind` carries that enum's wire string).
+/// What kind of drift fired.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DriftKind {
+    /// Page–Hinkley change-point on a group's conformance-violation series:
+    /// the group's live distribution has left its reference profile.
+    ConformanceViolation,
+    /// The windowed disparate-impact ratio fell below the configured floor
+    /// (EEOC four-fifths rule).
+    DisparateImpactFloor,
+}
+
+impl DriftKind {
+    /// The stable wire name this kind serialises as, in the audit trail
+    /// and in checkpoints alike.
+    pub fn wire_name(&self) -> &'static str {
+        match self {
+            DriftKind::ConformanceViolation => "conformance_violation",
+            DriftKind::DisparateImpactFloor => "disparate_impact_floor",
+        }
+    }
+}
+
+impl Serialize for DriftKind {
+    fn to_value(&self) -> Value {
+        Value::String(self.wire_name().into())
+    }
+}
+
+impl Deserialize for DriftKind {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        match v.as_str() {
+            Some("conformance_violation") => Ok(DriftKind::ConformanceViolation),
+            Some("disparate_impact_floor") => Ok(DriftKind::DisparateImpactFloor),
+            _ => Err(Error::msg("unknown drift kind")),
+        }
+    }
+}
+
+/// A typed drift alert: raised by a stream engine's detectors, kept in
+/// its alert log and checkpoints, and recorded as is in the audit trail.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AlertData {
-    /// Alert kind wire string (`"conformance_violation"` or
-    /// `"disparate_impact_floor"`).
-    pub kind: String,
-    /// Group cell the detector attributes the drift to.
+pub struct DriftAlert {
+    /// Which kind of detector fired.
+    pub kind: DriftKind,
+    /// The drifting cell id (one of the engine's monitored cells; at the
+    /// binary default, 0 = majority and 1 = minority). For
+    /// [`DriftKind::DisparateImpactFloor`] this is the disadvantaged cell
+    /// of the worst-served pair.
     pub group: u8,
-    /// Stream position (tuples observed) when the alert fired.
+    /// Global stream position (tuples ingested when the alert fired).
     pub at_tuple: u64,
-    /// The detector statistic that crossed its threshold.
+    /// The detector statistic at firing time (Page–Hinkley statistic, or
+    /// the DI* reading for floor alerts).
     pub statistic: f64,
-    /// The threshold it crossed.
+    /// The threshold that was crossed (λ, or the DI floor).
     pub threshold: f64,
+}
+
+/// Human-readable one-liner, e.g.
+/// `[ALERT @9250] conformance drift in group 1: PH statistic 12.31 > λ=12.00`.
+impl std::fmt::Display for DriftAlert {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.kind {
+            DriftKind::ConformanceViolation => write!(
+                f,
+                "[ALERT @{}] conformance drift in group {}: PH statistic {:.2} > λ={:.2}",
+                self.at_tuple, self.group, self.statistic, self.threshold
+            ),
+            DriftKind::DisparateImpactFloor => write!(
+                f,
+                "[ALERT @{}] DI* {:.3} below floor {:.2} (disadvantaged group {})",
+                self.at_tuple, self.statistic, self.threshold, self.group
+            ),
+        }
+    }
 }
 
 /// Which cell moved, and by how much — the explanation shipped alongside
@@ -312,7 +403,7 @@ pub struct DriftAlertEvent {
     /// Total tuples observed when the alert fired.
     pub at_tuple: u64,
     /// The alert itself.
-    pub alert: AlertData,
+    pub alert: DriftAlert,
     /// Which cell moved, and by how much.
     pub explanation: AlertExplanation,
 }
@@ -559,8 +650,8 @@ impl TelemetryEvent {
 }
 
 // The derive shim only handles structs, so the enum's tagged-object
-// encoding is spelled out by hand (the same pattern `cf-stream` uses for
-// `RetrainPolicy` and `DriftKind`): `{"event": <kind>, …payload fields…}`.
+// encoding is spelled out by hand (as for `DriftKind` above, and
+// `cf-stream`'s `RetrainPolicy`): `{"event": <kind>, …payload fields…}`.
 impl Serialize for TelemetryEvent {
     fn to_value(&self) -> Value {
         let payload = match self {
@@ -755,8 +846,8 @@ mod tests {
             }),
             TelemetryEvent::DriftAlert(DriftAlertEvent {
                 at_tuple: 190,
-                alert: AlertData {
-                    kind: "conformance_violation".into(),
+                alert: DriftAlert {
+                    kind: DriftKind::ConformanceViolation,
                     group: 1,
                     at_tuple: 190,
                     statistic: 13.25,

@@ -11,7 +11,12 @@
 //! * [`event`] — one [`TelemetryEvent`] per observable state change,
 //!   carrying per-cell counter deltas and moved-cell explanations, plus
 //!   the snapshot arithmetic ([`SnapshotData::from_counters`]) that
-//!   `cf-stream` delegates to.
+//!   `cf-stream` delegates to. It also owns the types both planes share:
+//!   [`WindowCounters`], the per-cell tallies the engines' window keeps
+//!   and the trail records, and [`DriftAlert`] / [`DriftKind`], the
+//!   alerts the engines raise and the trail logs. One type serves both
+//!   planes, so nothing converts between an engine form and a trail
+//!   form.
 //! * [`sink`] — the [`EventSink`] seam engines emit through, with
 //!   [`NullSink`], [`RingSink`], and the fsync-on-alert [`JsonlSink`].
 //! * [`replay`](mod@replay) — [`replay()`](replay()) reconstructs the
@@ -29,10 +34,10 @@ pub mod replay;
 pub mod sink;
 
 pub use event::{
-    AlertData, AlertExplanation, CheckpointEvent, CounterDelta, DegradedModeEvent, DriftAlertEvent,
-    DropEvent, FeedbackJoinEvent, IngestBatchEvent, ModelSwapEvent, MonitorRestartEvent,
-    RepairEndEvent, RepairStartEvent, SnapshotData, TelemetryEvent, ThresholdChangeEvent,
-    WindowCounters,
+    AlertExplanation, CheckpointEvent, CounterDelta, DegradedModeEvent, DriftAlert,
+    DriftAlertEvent, DriftKind, DropEvent, FeedbackJoinEvent, IngestBatchEvent, ModelSwapEvent,
+    MonitorRestartEvent, RepairEndEvent, RepairStartEvent, SnapshotData, TelemetryEvent,
+    ThresholdChangeEvent, WindowCounters,
 };
 pub use metrics::{log2_buckets, Counter, Gauge, Histogram, MetricsRegistry};
 pub use replay::{replay, replay_file, ReplayError, ReplayedRun};

@@ -20,7 +20,7 @@
 //! asymmetry without weakening the byte-identity claim — the recomputed
 //! sequence, serialised, is exactly the recorded bytes.
 
-use crate::event::{AlertData, SnapshotData, TelemetryEvent, WindowCounters};
+use crate::event::{DriftAlert, SnapshotData, TelemetryEvent, WindowCounters};
 use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
 
@@ -96,7 +96,7 @@ pub struct ReplayedRun {
     /// from the deltas and verified against the recorded values.
     pub snapshots: Vec<SnapshotData>,
     /// Every drift alert, in stream order.
-    pub alerts: Vec<AlertData>,
+    pub alerts: Vec<DriftAlert>,
     /// The final per-cell window counters — K-length, sized from the
     /// first window-advancing or re-anchoring event in the trail.
     pub counters: Vec<WindowCounters>,
@@ -257,7 +257,7 @@ pub fn replay_file(path: impl AsRef<Path>) -> Result<ReplayedRun, ReplayError> {
 mod tests {
     use super::*;
     use crate::event::{
-        AlertExplanation, CheckpointEvent, CounterDelta, DriftAlertEvent, DropEvent,
+        AlertExplanation, CheckpointEvent, CounterDelta, DriftAlertEvent, DriftKind, DropEvent,
         IngestBatchEvent,
     };
     use crate::sink::{EventSink, JsonlSink, RingSink};
@@ -437,12 +437,11 @@ mod tests {
         assert_eq!(run.snapshots.len(), 3);
     }
 
-    #[test]
-    fn alerts_and_drops_are_collected() {
-        let alert = TelemetryEvent::DriftAlert(DriftAlertEvent {
+    fn alert_event() -> TelemetryEvent {
+        TelemetryEvent::DriftAlert(DriftAlertEvent {
             at_tuple: 7,
-            alert: AlertData {
-                kind: "conformance_violation".into(),
+            alert: DriftAlert {
+                kind: DriftKind::ConformanceViolation,
                 group: 1,
                 at_tuple: 7,
                 statistic: 13.0,
@@ -454,7 +453,12 @@ mod tests {
                 violation_rate: vec![None, None],
                 summary: "moved".into(),
             },
-        });
+        })
+    }
+
+    #[test]
+    fn alerts_and_drops_are_collected() {
+        let alert = alert_event();
         let drop = TelemetryEvent::Drop(DropEvent {
             at_tuple: 7,
             batches: 1,
@@ -470,6 +474,20 @@ mod tests {
         assert_eq!(run.alerts[0].group, 1);
         assert_eq!(run.dropped_tuples, 16);
         assert_eq!(run.events, 2);
+    }
+
+    #[test]
+    fn unknown_alert_kind_is_a_parse_error_on_its_line() {
+        let mut lines = trail_lines();
+        let alert = serde_json::to_string(&alert_event()).unwrap();
+        let forged = alert.replace("\"conformance_violation\"", "\"label_shift\"");
+        assert_ne!(forged, alert, "forge target must exist");
+        lines.insert(1, forged);
+        let err = replay(&lines.join("\n")).unwrap_err();
+        assert!(
+            matches!(err, ReplayError::Parse { line: 2, .. }),
+            "expected a parse error on line 2, got {err:?}"
+        );
     }
 
     #[test]

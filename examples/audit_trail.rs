@@ -75,18 +75,7 @@ fn main() {
         run.snapshots, live_snapshots,
         "replayed snapshots must match the live run byte for byte"
     );
-    let live_alerts: Vec<AlertData> = engine
-        .alerts()
-        .iter()
-        .map(|a| AlertData {
-            kind: a.kind.wire_name().to_string(),
-            group: a.group,
-            at_tuple: a.at_tuple,
-            statistic: a.statistic,
-            threshold: a.threshold,
-        })
-        .collect();
-    assert_eq!(run.alerts, live_alerts, "replayed alerts must match");
+    assert_eq!(run.alerts, engine.alerts(), "replayed alerts must match");
     assert_eq!(
         FairnessSnapshot::from_data(run.snapshots.last().expect("non-empty run").clone()),
         engine.snapshot(),

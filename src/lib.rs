@@ -51,9 +51,9 @@ pub mod prelude {
         ShardedTuple, StreamConfig, StreamEngine, StreamMetrics, StreamTuple, SupervisorConfig,
     };
     pub use cf_telemetry::{
-        replay, replay_file, shared_sink, AlertData, DegradedModeEvent, EventSink, JsonlSink,
-        MetricsRegistry, MonitorRestartEvent, NullSink, ReplayedRun, RingSink, SharedSink,
-        SnapshotData, TelemetryEvent,
+        replay, replay_file, shared_sink, DegradedModeEvent, EventSink, JsonlSink, MetricsRegistry,
+        MonitorRestartEvent, NullSink, ReplayedRun, RingSink, SharedSink, SnapshotData,
+        TelemetryEvent,
     };
     pub use confair_core::{
         confair::{ConFair, ConFairConfig, FairnessTarget},
