@@ -128,8 +128,10 @@ fn drive_sharded(
 const KERNEL_REPS: usize = 5;
 
 /// The raw kernel rows: batch margin throughput of the flattened SoA GBT
-/// traversal against its recursive reference, of the 4-row logistic
-/// scoring tile against the per-row dot loop it replaced, of the packed
+/// traversal against its recursive reference, training rows fitted per
+/// second by the presorted GBT fit against the per-node-sort fit, of the
+/// 4-row logistic scoring tile against the per-row dot loop it replaced,
+/// of the packed
 /// conformance-violation kernel against the per-projection scalar sum,
 /// and of the symmetric exact KDE self-density pass against the per-point
 /// loop (`Kde::densities` on the training matrix) — on the same fitted
@@ -145,9 +147,10 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
     let gbt_d = 16;
     let lr_d = 32;
 
-    let (x_train, y, x_gbt) = kernel_problem(gbt_d, 4_000, block, 11);
+    let gbt_train_rows = 4_000;
+    let (x_gbt_train, y_gbt, x_gbt) = kernel_problem(gbt_d, gbt_train_rows, block, 11);
     let mut gbt = Gbt::new(GbtConfig::default());
-    gbt.fit(&x_train, &y, None).expect("gbt fit");
+    gbt.fit(&x_gbt_train, &y_gbt, None).expect("gbt fit");
 
     let (x_train, y, x_lr) = kernel_problem(lr_d, 4_000, block, 13);
     let mut lr = LogisticRegression::default();
@@ -172,6 +175,23 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
 
     // Equivalence gates: a kernels row for a kernel that diverged from its
     // reference would be a benchmark of a wrong answer.
+    let fit_gbt = |reference: bool| {
+        let mut model = Gbt::new(GbtConfig::default());
+        if reference {
+            model.fit_reference(&x_gbt_train, &y_gbt, None)
+        } else {
+            model.fit(&x_gbt_train, &y_gbt, None)
+        }
+        .expect("gbt fit");
+        model
+    };
+    // `Debug` renders every split and leaf weight in round-trip form, so
+    // equal renderings are bit-identical forests.
+    assert_eq!(
+        format!("{:?}", fit_gbt(true)),
+        format!("{:?}", fit_gbt(false)),
+        "presorted and per-node-sort GBT fits diverged"
+    );
     let flat = gbt.predict_margin_rows(&x_gbt).expect("flat margins");
     let recursive = gbt
         .predict_margin_rows_recursive(&x_gbt)
@@ -240,6 +260,12 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
                     "features": kde_d,
                     "repetitions": KERNEL_REPS,
                 })
+            } else if name.contains("gbt_fit") {
+                serde_json::json!({
+                    "train_rows": gbt_train_rows,
+                    "features": gbt_d,
+                    "repetitions": KERNEL_REPS,
+                })
             } else {
                 serde_json::json!({
                     "block_rows": block,
@@ -264,6 +290,16 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
     });
     let gbt_flat = row("kernels/gbt_flat", gbt_target, &mut || {
         black_box(gbt.predict_margin_rows(black_box(&x_gbt)).expect("margins")).len()
+    });
+    // Each pass fits one 60-round ensemble: gbt_train_rows rows.
+    let fit_target = gbt_train_rows * KERNEL_REPS * if quick { 1 } else { 2 };
+    let gbt_fit_reference = row("kernels/gbt_fit_reference", fit_target, &mut || {
+        black_box(fit_gbt(true));
+        gbt_train_rows
+    });
+    let gbt_fit_presorted = row("kernels/gbt_fit_presorted", fit_target, &mut || {
+        black_box(fit_gbt(false));
+        gbt_train_rows
     });
     let lr_scalar = row("kernels/logistic_scalar", lr_target, &mut || {
         let margins: Vec<f64> = x_lr
@@ -303,8 +339,9 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
     });
 
     let summary = serde_json::json!({
-        "workload": format!("raw batch margins, block={block}, gbt d={gbt_d} (60 trees, depth<=4), logistic d={lr_d}; conformance violations, d={lr_d}, m={profile_m}; exact KDE self-densities, n={kde_n}, d={kde_d}"),
+        "workload": format!("raw batch margins, block={block}, gbt d={gbt_d} (60 trees, depth<=4), logistic d={lr_d}; gbt fits, {gbt_train_rows} rows; conformance violations, d={lr_d}, m={profile_m}; exact KDE self-densities, n={kde_n}, d={kde_d}"),
         "gbt_flat_vs_recursive": gbt_flat / gbt_recursive,
+        "gbt_fit_presorted_vs_reference": gbt_fit_presorted / gbt_fit_reference,
         "logistic_tiles_vs_scalar": lr_tiles / lr_scalar,
         "conformance_packed_vs_scalar": cc_packed / cc_scalar,
         "kde_symmetric_vs_pointwise": kde_symmetric / kde_pointwise,

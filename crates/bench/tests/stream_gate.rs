@@ -115,3 +115,21 @@ fn kde_ratio_below_floor_or_missing_fails() {
     set_kernel_ratio(&mut current, key, Some(1.4));
     assert_eq!(failures(&current), Vec::<String>::new());
 }
+
+#[test]
+fn gbt_fit_ratio_below_floor_or_missing_fails() {
+    let key = "gbt_fit_presorted_vs_reference";
+    let mut current = committed();
+    set_kernel_ratio(&mut current, key, Some(1.2));
+    assert_eq!(
+        failures(&current),
+        vec![format!("kernels.{key} = 1.20 < 1.5")]
+    );
+    set_kernel_ratio(&mut current, key, None);
+    assert_eq!(
+        failures(&current),
+        vec![format!("current: no `kernels.{key}` ratio")]
+    );
+    set_kernel_ratio(&mut current, key, Some(1.5));
+    assert_eq!(failures(&current), Vec::<String>::new());
+}

@@ -99,6 +99,27 @@ pub enum AlphaMode {
     },
 }
 
+impl AlphaMode {
+    /// Check the degrees a training run would use: a grid needs at least
+    /// one candidate, and every `α` must be finite and non-negative (a
+    /// boost adds `α` to a tuple's weight).
+    pub fn validate(&self) -> std::result::Result<(), String> {
+        match self {
+            AlphaMode::Fixed { alpha_u, alpha_w } => check_alphas(&[*alpha_u, *alpha_w]),
+            AlphaMode::Auto { grid } if grid.is_empty() => Err("alpha grid is empty".into()),
+            AlphaMode::Auto { grid } => check_alphas(grid),
+        }
+    }
+}
+
+/// Reject the first `α` that is negative or not finite.
+pub(crate) fn check_alphas(alphas: &[f64]) -> std::result::Result<(), String> {
+    match alphas.iter().find(|a| !(a.is_finite() && **a >= 0.0)) {
+        Some(a) => Err(format!("alpha {a} is not a finite, non-negative degree")),
+        None => Ok(()),
+    }
+}
+
 impl Default for AlphaMode {
     fn default() -> Self {
         AlphaMode::Auto {
@@ -146,18 +167,22 @@ impl serde::Serialize for AlphaMode {
 
 impl serde::Deserialize for AlphaMode {
     fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        if let Some(fixed) = v.get("fixed") {
-            return Ok(AlphaMode::Fixed {
+        let mode = if let Some(fixed) = v.get("fixed") {
+            AlphaMode::Fixed {
                 alpha_u: serde::Deserialize::from_value(fixed.get_or_err("alpha_u")?)?,
                 alpha_w: serde::Deserialize::from_value(fixed.get_or_err("alpha_w")?)?,
-            });
-        }
-        if let Some(auto) = v.get("auto") {
-            return Ok(AlphaMode::Auto {
+            }
+        } else if let Some(auto) = v.get("auto") {
+            AlphaMode::Auto {
                 grid: serde::Deserialize::from_value(auto)?,
-            });
-        }
-        Err(serde::Error::msg("unknown alpha mode"))
+            }
+        } else {
+            return Err(serde::Error::msg("unknown alpha mode"));
+        };
+        // A checkpointed config is trained from on the first on-alert
+        // retrain after a restore: reject it here, not there.
+        mode.validate().map_err(serde::Error::msg)?;
+        Ok(mode)
     }
 }
 
@@ -348,6 +373,10 @@ impl ConFair {
         validation: &Dataset,
         deployed_learner: LearnerKind,
     ) -> Result<(f64, f64)> {
+        self.config
+            .alpha
+            .validate()
+            .map_err(CoreError::InvalidConfig)?;
         match &self.config.alpha {
             AlphaMode::Fixed { alpha_u, alpha_w } => Ok((*alpha_u, *alpha_w)),
             AlphaMode::Auto { grid } => {
@@ -405,6 +434,58 @@ mod tests {
         let d = figure1(10);
         let s = split3(&d, SplitRatios::paper_default(), 10);
         (s.train, s.validation, s.test)
+    }
+
+    #[test]
+    fn unusable_alpha_degrees_fail_training_with_a_typed_error() {
+        let (train, val, _) = toy_split();
+        for alpha in [
+            AlphaMode::Auto { grid: vec![] },
+            AlphaMode::Auto {
+                grid: vec![1.0, f64::NAN],
+            },
+            AlphaMode::Fixed {
+                alpha_u: -1.0,
+                alpha_w: 0.5,
+            },
+        ] {
+            let confair = ConFair::new(ConFairConfig {
+                alpha: alpha.clone(),
+                ..ConFairConfig::default()
+            });
+            assert!(
+                matches!(
+                    confair.train(&train, &val, LearnerKind::Logistic),
+                    Err(CoreError::InvalidConfig(_))
+                ),
+                "{alpha:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn unusable_alpha_degrees_fail_to_decode() {
+        use serde::{Deserialize, Serialize};
+        // Encoding does not validate, so each bad mode round-trips to a
+        // document that decoding must refuse.
+        for bad in [
+            AlphaMode::Auto { grid: vec![] },
+            AlphaMode::Auto {
+                grid: vec![0.5, -1.0],
+            },
+            AlphaMode::Auto {
+                grid: vec![f64::INFINITY],
+            },
+            AlphaMode::Fixed {
+                alpha_u: 1.0,
+                alpha_w: -0.5,
+            },
+        ] {
+            let err = AlphaMode::from_value(&bad.to_value()).unwrap_err();
+            assert!(err.to_string().contains("alpha"), "{bad:?}: {err}");
+        }
+        let good = AlphaMode::default();
+        assert_eq!(AlphaMode::from_value(&good.to_value()).unwrap(), good);
     }
 
     #[test]

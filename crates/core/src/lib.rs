@@ -66,6 +66,9 @@ pub enum CoreError {
     /// (e.g. the group-blind `predict_rows` fast path on a group-routed
     /// model).
     Unsupported(String),
+    /// A configuration value no training run can use (e.g. an empty α
+    /// grid or a negative intervention degree).
+    InvalidConfig(String),
 }
 
 impl std::fmt::Display for CoreError {
@@ -78,6 +81,7 @@ impl std::fmt::Display for CoreError {
                 write!(f, "non-finite value in tuple {row}, attribute {feature}")
             }
             CoreError::Unsupported(what) => write!(f, "unsupported operation: {what}"),
+            CoreError::InvalidConfig(what) => write!(f, "invalid configuration: {what}"),
         }
     }
 }

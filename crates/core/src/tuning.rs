@@ -7,9 +7,9 @@
 //! to that mismatch is one of the paper's headline claims.
 
 use crate::{
-    confair::{FairnessTarget, WeightProfile},
+    confair::{self, FairnessTarget, WeightProfile},
     intervention::{Predictor, SingleModelPredictor},
-    Result,
+    CoreError, Result,
 };
 use cf_data::Dataset;
 use cf_learners::LearnerKind;
@@ -63,7 +63,7 @@ pub fn tune_alpha(
     target: FairnessTarget,
     grid: &[f64],
 ) -> Result<TuneResult> {
-    assert!(!grid.is_empty(), "alpha grid cannot be empty");
+    confair::check_alphas(grid).map_err(CoreError::InvalidConfig)?;
     let mut best: Option<TuneResult> = None;
     let mut best_is_degenerate = true;
     let mut worsened_streak = 0usize;
@@ -116,7 +116,7 @@ pub fn tune_alpha(
         }
     }
 
-    let mut result = best.expect("grid is non-empty");
+    let mut result = best.ok_or_else(|| CoreError::InvalidConfig("alpha grid is empty".into()))?;
     result.models_trained = models_trained;
     Ok(result)
 }
@@ -217,16 +217,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn empty_grid_panics() {
+    fn empty_or_invalid_grid_is_a_typed_error() {
         let (train, val, profile) = setup();
-        let _ = tune_alpha(
-            &profile,
-            &train,
-            &val,
-            LearnerKind::Logistic,
-            FairnessTarget::DisparateImpact,
-            &[],
+        let tune = |grid: &[f64]| {
+            tune_alpha(
+                &profile,
+                &train,
+                &val,
+                LearnerKind::Logistic,
+                FairnessTarget::DisparateImpact,
+                grid,
+            )
+        };
+        assert_eq!(
+            tune(&[]),
+            Err(CoreError::InvalidConfig("alpha grid is empty".into()))
         );
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(tune(&[0.0, bad]), Err(CoreError::InvalidConfig(_))),
+                "alpha {bad}"
+            );
+        }
     }
 }

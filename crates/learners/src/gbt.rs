@@ -4,9 +4,12 @@
 //! `g = w·(p − y)` and hessians `h = w·p(1−p)` feed an exact-greedy
 //! regression tree; instance weights scale both, which makes weighting
 //! equivalent to duplication — the property reweighing interventions need.
+//! The feature columns are presorted once per fit and shared by every
+//! round's tree, and each tree hands back its per-row leaf weights, so a
+//! round never re-sorts a node or re-descends its own tree.
 
 use crate::{
-    tree::{FlatTree, RegressionTree, TreeParams},
+    tree::{FlatTree, PresortedFit, RegressionTree, TreeParams},
     validate_fit_inputs, LearnError, Learner, Result,
 };
 use cf_linalg::Matrix;
@@ -280,10 +283,18 @@ impl Gbt {
         self.check_scorable(x)?;
         Ok(x.iter_rows().map(|row| self.margin(row)).collect())
     }
-}
 
-impl Learner for Gbt {
-    fn fit(&mut self, x: &Matrix, y: &[f64], weights: Option<&[f64]>) -> Result<()> {
+    /// The boosting loop behind [`Learner::fit`] and [`Self::fit_reference`]:
+    /// `reference` grows every tree with the per-node-sort builder and
+    /// rescores the rows with `tree.predict`; otherwise `x` is presorted once
+    /// and every tree reuses the presort and hands back its own deltas.
+    fn boost(
+        &mut self,
+        x: &Matrix,
+        y: &[f64],
+        weights: Option<&[f64]>,
+        reference: bool,
+    ) -> Result<()> {
         let w = validate_fit_inputs(x, y, weights)?;
         let n = x.rows();
         self.n_features = x.cols();
@@ -303,9 +314,17 @@ impl Learner for Gbt {
             min_child_weight: self.config.min_child_weight,
         };
 
+        // After validation: the presort never sees a NaN.
+        let mut presorted = (!reference).then(|| PresortedFit::new(x));
         let mut margins = vec![self.base_score; n];
         let mut grad = vec![0.0; n];
         let mut hess = vec![0.0; n];
+        let subsample = self.config.subsample < 1.0;
+        let (mut g2, mut h2) = if subsample {
+            (vec![0.0; n], vec![0.0; n])
+        } else {
+            (Vec::new(), Vec::new())
+        };
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut row_pool: Vec<usize> = (0..n).collect();
 
@@ -316,30 +335,41 @@ impl Learner for Gbt {
                 hess[i] = (w[i] * p * (1.0 - p)).max(1e-16);
             }
 
-            let tree = if self.config.subsample < 1.0 {
+            let (g, h) = if subsample {
                 // Zero out the gradients of dropped rows instead of gathering
                 // a sub-matrix: the tree then ignores them (g = h·ε ≈ 0) and
                 // prediction indices stay aligned.
                 row_pool.shuffle(&mut rng);
                 let kept = ((n as f64) * self.config.subsample).ceil() as usize;
-                let mut g2 = vec![0.0; n];
-                let mut h2 = vec![1e-16; n];
+                g2.fill(0.0);
+                h2.fill(1e-16);
                 for &i in &row_pool[..kept] {
                     g2[i] = grad[i];
                     h2[i] = hess[i];
                 }
-                RegressionTree::fit(x, &g2, &h2, &tree_params)
+                (&g2, &h2)
             } else {
-                RegressionTree::fit(x, &grad, &hess, &tree_params)
+                (&grad, &hess)
+            };
+            let reference_deltas;
+            let (tree, deltas) = match &mut presorted {
+                Some(presorted) => {
+                    let tree = presorted.fit(g, h, &tree_params);
+                    (tree, presorted.deltas())
+                }
+                None => {
+                    let tree = RegressionTree::fit_reference(x, g, h, &tree_params);
+                    reference_deltas = tree.predict(x);
+                    (tree, reference_deltas.as_slice())
+                }
             };
 
             // Early stop: a single-leaf tree with ~zero weight adds nothing.
-            let deltas = tree.predict(x);
             let max_delta = deltas.iter().fold(0.0_f64, |m, &d| m.max(d.abs()));
             if max_delta < 1e-12 {
                 break;
             }
-            for (m, d) in margins.iter_mut().zip(&deltas) {
+            for (m, d) in margins.iter_mut().zip(deltas) {
                 *m += self.config.eta * d;
             }
             self.trees.push(tree);
@@ -348,6 +378,21 @@ impl Learner for Gbt {
         self.fitted = true;
         self.rebuild_flat();
         Ok(())
+    }
+
+    /// Fit with the per-node-sort tree builder and per-round
+    /// `tree.predict`: the boosting loop as it reads without the presort.
+    /// Fits a bit-identical ensemble to [`Learner::fit`]; kept as its test
+    /// oracle and bench reference.
+    #[doc(hidden)]
+    pub fn fit_reference(&mut self, x: &Matrix, y: &[f64], weights: Option<&[f64]>) -> Result<()> {
+        self.boost(x, y, weights, true)
+    }
+}
+
+impl Learner for Gbt {
+    fn fit(&mut self, x: &Matrix, y: &[f64], weights: Option<&[f64]>) -> Result<()> {
+        self.boost(x, y, weights, false)
     }
 
     fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>> {

@@ -6,7 +6,10 @@
 //! * [`LogisticRegression`] — the scikit-learn `LR` stand-in: weighted
 //!   log-loss, full-batch gradient descent with adaptive step size, L2.
 //! * [`Gbt`] — the XGBoost stand-in: second-order gradient boosting with
-//!   exact greedy regression trees, shrinkage, and leaf L2.
+//!   exact greedy regression trees, shrinkage, and leaf L2. Each fit sorts
+//!   every feature column once; every tree of the ensemble then grows by
+//!   stable-partitioning those orders node by node, never re-sorting
+//!   ([`tree::PresortedFit`]).
 //!
 //! Both accept per-instance weights in `fit` — the contract every reweighing
 //! intervention (ConFair, KAM, OMN) relies on. Weighting a tuple by `k` is
@@ -178,7 +181,7 @@ pub(crate) fn validate_fit_inputs(
             x.rows()
         )));
     }
-    // A NaN would panic the GBT split sort and silently poison the
+    // A NaN would panic the GBT column presort and silently poison the
     // logistic gradient, so it never reaches either fit.
     if let Some((row, feature)) = x
         .iter_rows()

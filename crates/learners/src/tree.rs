@@ -1,14 +1,23 @@
 //! The regression tree used inside gradient boosting.
 //!
 //! Implements XGBoost's exact greedy algorithm: at every node, each feature's
-//! values are sorted and scanned once, accumulating gradient/hessian sums to
-//! score candidate splits with the second-order gain
+//! values are scanned once in ascending order, accumulating gradient/hessian
+//! sums to score candidate splits with the second-order gain
 //!
 //! ```text
 //! gain = ½ [ G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ) ] − γ
 //! ```
 //!
 //! Leaf weights are `−G/(H+λ)`; shrinkage is applied by the ensemble.
+//!
+//! The ascending orders come from one presort per ensemble fit
+//! ([`PresortedFit`]): every feature's row order is sorted once, and each
+//! split stable-partitions its node's segment of those orders instead of
+//! re-sorting. A stable partition of a stably sorted order is the stable
+//! sort of the subset, so every node scans exactly the order a per-node
+//! stable sort would produce — ascending value, ties in row-index order —
+//! and the fitted tree keeps every bit of [`RegressionTree::fit_reference`],
+//! the per-node-sort builder kept as the executable specification.
 
 use cf_linalg::Matrix;
 
@@ -58,16 +67,30 @@ pub struct RegressionTree {
 }
 
 impl RegressionTree {
-    /// Fit to gradients/hessians on the given rows of `x`.
+    /// Fit to gradients/hessians on the rows of `x`, presorting `x` for
+    /// this one tree. An ensemble fitting many trees on the same rows
+    /// presorts once instead, through [`PresortedFit`].
     ///
     /// # Panics
-    /// Panics if buffer lengths disagree (callers validate upstream).
+    /// Panics if buffer lengths disagree (callers validate upstream) or if
+    /// `x` holds a NaN.
     pub fn fit(x: &Matrix, grad: &[f64], hess: &[f64], params: &TreeParams) -> Self {
+        PresortedFit::new(x).fit(grad, hess, params)
+    }
+
+    /// The per-node-sort builder: every node copies its rows once per
+    /// feature and stable-sorts them. Bit-identical to [`Self::fit`] and
+    /// kept as its test oracle and bench reference.
+    ///
+    /// # Panics
+    /// As [`Self::fit`].
+    #[doc(hidden)]
+    pub fn fit_reference(x: &Matrix, grad: &[f64], hess: &[f64], params: &TreeParams) -> Self {
         assert_eq!(x.rows(), grad.len());
         assert_eq!(x.rows(), hess.len());
         let mut nodes = Vec::new();
         let rows: Vec<usize> = (0..x.rows()).collect();
-        let root = build(x, grad, hess, rows, params.max_depth, params, &mut nodes);
+        let root = build_reference(x, grad, hess, rows, params.max_depth, params, &mut nodes);
         Self { nodes, root }
     }
 
@@ -581,7 +604,235 @@ fn leaf_weight(g: f64, h: f64, lambda: f64) -> f64 {
     -g / (h + lambda)
 }
 
-fn build(
+/// The second-order gain of splitting a node with totals `g_total`/`h_total`
+/// into a left child with sums `g_left`/`h_left` and the remainder, or
+/// `None` when either child's hessian sum is below `min_child_weight`.
+#[inline(always)]
+fn split_gain(
+    g_left: f64,
+    h_left: f64,
+    g_total: f64,
+    h_total: f64,
+    parent_score: f64,
+    params: &TreeParams,
+) -> Option<f64> {
+    let h_right = h_total - h_left;
+    if h_left < params.min_child_weight || h_right < params.min_child_weight {
+        return None;
+    }
+    let g_right = g_total - g_left;
+    Some(
+        0.5 * (g_left * g_left / (h_left + params.lambda)
+            + g_right * g_right / (h_right + params.lambda)
+            - parent_score)
+            - params.gamma,
+    )
+}
+
+/// A training matrix presorted once, reused by every tree an ensemble
+/// grows on it.
+///
+/// Holds every feature's row order, stably sorted by value with
+/// `partial_cmp` — so −0.0 and +0.0 tie and keep row-index order, exactly
+/// as the per-node sort of [`RegressionTree::fit_reference`] orders them
+/// (`total_cmp` would put −0.0 first and reorder the gradient sums).
+/// Growing a tree copies these orders into a working buffer; a node owns
+/// the same segment of every order, and a split stable-partitions that
+/// segment in place with the `x[feature] < threshold` test
+/// [`RegressionTree::predict_row`] routes by. Each node therefore scans
+/// its rows in the order a per-node stable sort would produce, and every
+/// sum, gain, threshold and leaf weight keeps its bits.
+#[derive(Debug)]
+pub struct PresortedFit {
+    n: usize,
+    d: usize,
+    /// `x` transposed: feature `f`'s values at `values[f * n..(f + 1) * n]`,
+    /// so a split scan gathers from one column instead of striding rows.
+    values: Vec<f64>,
+    /// The presort: feature `f`'s ascending row order at
+    /// `sorted[f * n..(f + 1) * n]`, in one contiguous buffer.
+    sorted: Vec<u32>,
+    /// The working copy of `sorted` a tree partitions, followed by one more
+    /// order: the node's rows in row-index order, which the gradient totals
+    /// are summed in (a feature's order would change their bits).
+    work: Vec<u32>,
+    /// The right-hand rows of a stable partition, parked while the left-hand
+    /// rows are compacted.
+    spill: Vec<u32>,
+    /// Which side of the current split each row (by index) goes to.
+    goes_left: Vec<bool>,
+    /// Leaf weight per row of the last tree grown.
+    deltas: Vec<f64>,
+}
+
+impl PresortedFit {
+    /// Presort every feature of `x`.
+    ///
+    /// # Panics
+    /// Panics if `x` holds a NaN (callers validate upstream) or has more
+    /// rows than a `u32` can index.
+    pub fn new(x: &Matrix) -> Self {
+        let (n, d) = (x.rows(), x.cols());
+        let rows = u32::try_from(n).expect("a presorted fit indexes rows as u32");
+        let mut values = vec![0.0; n * d];
+        for (i, row) in x.iter_rows().enumerate() {
+            for (f, &v) in row.iter().enumerate() {
+                values[f * n + i] = v;
+            }
+        }
+        let mut sorted = Vec::with_capacity(n * d);
+        for f in 0..d {
+            let col = &values[f * n..(f + 1) * n];
+            let start = sorted.len();
+            sorted.extend(0..rows);
+            // Stable, so ties keep row-index order.
+            sorted[start..].sort_by(|&a: &u32, &b: &u32| {
+                col[a as usize]
+                    .partial_cmp(&col[b as usize])
+                    .expect("NaN feature value")
+            });
+        }
+        Self {
+            n,
+            d,
+            values,
+            sorted,
+            work: vec![0; (d + 1) * n],
+            spill: vec![0; n],
+            goes_left: vec![false; n],
+            deltas: vec![0.0; n],
+        }
+    }
+
+    /// Grow one tree on per-row gradients/hessians — bit-identical to
+    /// [`RegressionTree::fit_reference`] on the presorted matrix — and
+    /// leave its leaf weight for every row in [`Self::deltas`].
+    ///
+    /// # Panics
+    /// Panics if `grad` or `hess` is not one entry per presorted row.
+    pub fn fit(&mut self, grad: &[f64], hess: &[f64], params: &TreeParams) -> RegressionTree {
+        let (n, d) = (self.n, self.d);
+        assert_eq!(n, grad.len());
+        assert_eq!(n, hess.len());
+        self.work[..d * n].copy_from_slice(&self.sorted);
+        for (slot, i) in self.work[d * n..].iter_mut().zip(0u32..) {
+            *slot = i;
+        }
+        let mut nodes = Vec::new();
+        let root = self.build(grad, hess, 0, n, params.max_depth, params, &mut nodes);
+        RegressionTree { nodes, root }
+    }
+
+    /// The last grown tree's leaf weight for every row, in row order —
+    /// bitwise what `tree.predict(x)` returns, without a second descent.
+    pub fn deltas(&self) -> &[f64] {
+        &self.deltas
+    }
+
+    /// Grow the subtree over the rows in segment `lo..hi` of every order.
+    #[allow(clippy::too_many_arguments)]
+    fn build(
+        &mut self,
+        grad: &[f64],
+        hess: &[f64],
+        lo: usize,
+        hi: usize,
+        depth_left: usize,
+        params: &TreeParams,
+        nodes: &mut Vec<TreeNode>,
+    ) -> usize {
+        let (n, d) = (self.n, self.d);
+        let rows = &self.work[d * n + lo..d * n + hi];
+        let g_total: f64 = rows.iter().map(|&i| grad[i as usize]).sum();
+        let h_total: f64 = rows.iter().map(|&i| hess[i as usize]).sum();
+
+        let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
+        if depth_left > 0 && rows.len() >= 2 {
+            let parent_score = g_total * g_total / (h_total + params.lambda);
+            for feature in 0..d {
+                let col = &self.values[feature * n..(feature + 1) * n];
+                let order = &self.work[feature * n + lo..feature * n + hi];
+                let mut g_left = 0.0;
+                let mut h_left = 0.0;
+                for pair in order.windows(2) {
+                    let (i, next) = (pair[0] as usize, pair[1] as usize);
+                    g_left += grad[i];
+                    h_left += hess[i];
+                    let (value, next_value) = (col[i], col[next]);
+                    // Can't split between equal values.
+                    if value == next_value {
+                        continue;
+                    }
+                    let Some(gain) =
+                        split_gain(g_left, h_left, g_total, h_total, parent_score, params)
+                    else {
+                        continue;
+                    };
+                    if gain > best.map_or(0.0, |b| b.0) {
+                        best = Some((gain, feature, 0.5 * (value + next_value)));
+                    }
+                }
+            }
+        }
+
+        let Some((_, feature, threshold)) = best else {
+            let weight = leaf_weight(g_total, h_total, params.lambda);
+            for &i in &self.work[d * n + lo..d * n + hi] {
+                self.deltas[i as usize] = weight;
+            }
+            nodes.push(TreeNode::Leaf { weight });
+            return nodes.len() - 1;
+        };
+
+        let mid = lo + self.partition(lo, hi, feature, threshold);
+        debug_assert!(lo < mid && mid < hi);
+        let left = self.build(grad, hess, lo, mid, depth_left - 1, params, nodes);
+        let right = self.build(grad, hess, mid, hi, depth_left - 1, params, nodes);
+        nodes.push(TreeNode::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        });
+        nodes.len() - 1
+    }
+
+    /// Stable-partition segment `lo..hi` of every order by
+    /// `x[feature] < threshold`; returns how many rows go left.
+    fn partition(&mut self, lo: usize, hi: usize, feature: usize, threshold: f64) -> usize {
+        let (n, d) = (self.n, self.d);
+        let col = &self.values[feature * n..(feature + 1) * n];
+        let mut n_left = 0;
+        for &i in &self.work[d * n + lo..d * n + hi] {
+            let left = col[i as usize] < threshold;
+            self.goes_left[i as usize] = left;
+            n_left += usize::from(left);
+        }
+        for order in 0..=d {
+            // Ascending in the split feature itself, so its left rows
+            // already form a prefix.
+            if order == feature {
+                continue;
+            }
+            let segment = &mut self.work[order * n + lo..order * n + hi];
+            let (mut kept, mut spilled) = (0, 0);
+            for k in 0..segment.len() {
+                let i = segment[k];
+                if self.goes_left[i as usize] {
+                    segment[kept] = i;
+                    kept += 1;
+                } else {
+                    self.spill[spilled] = i;
+                    spilled += 1;
+                }
+            }
+            segment[kept..].copy_from_slice(&self.spill[..spilled]);
+        }
+        n_left
+    }
+}
+
+fn build_reference(
     x: &Matrix,
     grad: &[f64],
     hess: &[f64],
@@ -622,16 +873,10 @@ fn build(
             if sorted[k].0 == sorted[k + 1].0 {
                 continue;
             }
-            let h_right = h_total - h_left;
-            if h_left < params.min_child_weight || h_right < params.min_child_weight {
+            let Some(gain) = split_gain(g_left, h_left, g_total, h_total, parent_score, params)
+            else {
                 continue;
-            }
-            let g_right = g_total - g_left;
-            let gain = 0.5
-                * (g_left * g_left / (h_left + params.lambda)
-                    + g_right * g_right / (h_right + params.lambda)
-                    - parent_score)
-                - params.gamma;
+            };
             if gain > best.map_or(0.0, |b| b.0) {
                 let threshold = 0.5 * (sorted[k].0 + sorted[k + 1].0);
                 best = Some((gain, feature, threshold));
@@ -647,8 +892,8 @@ fn build(
         rows.into_iter().partition(|&i| x[(i, feature)] < threshold);
     debug_assert!(!left_rows.is_empty() && !right_rows.is_empty());
 
-    let left = build(x, grad, hess, left_rows, depth_left - 1, params, nodes);
-    let right = build(x, grad, hess, right_rows, depth_left - 1, params, nodes);
+    let left = build_reference(x, grad, hess, left_rows, depth_left - 1, params, nodes);
+    let right = build_reference(x, grad, hess, right_rows, depth_left - 1, params, nodes);
     nodes.push(TreeNode::Split {
         feature,
         threshold,

@@ -1,5 +1,6 @@
 //! Property tests for the learner substrate.
 
+use cf_learners::tree::{PresortedFit, RegressionTree, TreeParams};
 use cf_learners::{Gbt, GbtConfig, Learner, LogisticRegression};
 use cf_linalg::Matrix;
 use proptest::prelude::*;
@@ -58,6 +59,108 @@ fn problem() -> impl Strategy<Value = (Matrix, Vec<f64>)> {
                 )
             })
     })
+}
+
+/// Strategy: per-row gradients and hessians over a feature block whose
+/// columns each take one of four shapes — continuous, five repeated
+/// integers (long ties), constant, or ±1 mixed with ±0.0 (signed zeros,
+/// which compare equal but differ in bits) — with 1 and 2 rows drawn often,
+/// depth 0–6, and `min_child_weight`/`gamma` from none to pruning most
+/// splits.
+#[allow(clippy::type_complexity)]
+fn tree_problem() -> impl Strategy<Value = (Matrix, Vec<f64>, Vec<f64>, TreeParams)> {
+    (0usize..8, 3usize..40, 1usize..5, 0usize..7).prop_flat_map(|(pick, many, d, max_depth)| {
+        let n = match pick {
+            0 => 1,
+            1 => 2,
+            _ => many,
+        };
+        (
+            proptest::collection::vec(-10.0..10.0f64, n * d),
+            proptest::collection::vec(0u8..4, d),
+            proptest::collection::vec(-2.0..2.0f64, n),
+            proptest::collection::vec(0.001..2.0f64, n),
+            (0u8..3, 0u8..3, 0u8..2),
+        )
+            .prop_map(move |(raw, shapes, grad, hess, (mcw, gamma, lambda))| {
+                let data = raw
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &v)| match shapes[k % d] {
+                        0 => v,
+                        1 => (v / 4.0).round(),
+                        2 => 3.5,
+                        _ if v < -5.0 => -1.0,
+                        _ if v < 0.0 => -0.0,
+                        _ if v < 5.0 => 0.0,
+                        _ => 1.0,
+                    })
+                    .collect();
+                let params = TreeParams {
+                    max_depth,
+                    lambda: f64::from(lambda),
+                    gamma: [0.0, 0.05, 1.0][usize::from(gamma)],
+                    min_child_weight: [0.0, 0.5, 3.0][usize::from(mcw)],
+                };
+                (Matrix::from_vec(n, d, data), grad, hess, params)
+            })
+    })
+}
+
+/// `Debug` prints every `f64` in its shortest round-trip form, sign of
+/// zero included, so equal renderings of NaN-free models mean equal bits.
+fn bits<T: std::fmt::Debug>(model: &T) -> String {
+    format!("{model:?}")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn presorted_tree_matches_per_node_sort((x, grad, hess, params) in tree_problem()) {
+        // Stable partitions of one presort must hand every node the order
+        // its own stable sort computes, so the two builders agree node for
+        // node, bit for bit — and the presorted leaves' per-row weights are
+        // exactly what descending the tree returns.
+        let reference = RegressionTree::fit_reference(&x, &grad, &hess, &params);
+        let mut presorted = PresortedFit::new(&x);
+        let tree = presorted.fit(&grad, &hess, &params);
+        prop_assert_eq!(bits(&tree), bits(&reference));
+        let descended: Vec<u64> = tree.predict(&x).iter().map(|v| v.to_bits()).collect();
+        let deltas: Vec<u64> = presorted.deltas().iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(deltas, descended);
+        // A second tree on the same presort sees pristine orders.
+        let again = presorted.fit(&hess, &grad, &params);
+        let again_reference = RegressionTree::fit_reference(&x, &hess, &grad, &params);
+        prop_assert_eq!(bits(&again), bits(&again_reference));
+    }
+
+    #[test]
+    fn presorted_gbt_matches_reference_fit(
+        (x, grad, _, params) in tree_problem(),
+        subsample in 0.3..1.5f64,
+        seed in 0u64..1_000,
+    ) {
+        // The whole boosting loop, subsampled rounds included: one presort
+        // per fit and per-round leaf deltas must fit the forest the
+        // per-node-sort builder and `tree.predict` fit.
+        let y: Vec<f64> = grad.iter().map(|&g| f64::from(u8::from(g > 0.0))).collect();
+        let config = GbtConfig {
+            n_rounds: 6,
+            max_depth: params.max_depth,
+            lambda: params.lambda,
+            gamma: params.gamma,
+            min_child_weight: params.min_child_weight,
+            subsample: subsample.min(1.0),
+            seed,
+            ..GbtConfig::default()
+        };
+        let mut fast = Gbt::new(config);
+        fast.fit(&x, &y, None).unwrap();
+        let mut reference = Gbt::new(config);
+        reference.fit_reference(&x, &y, None).unwrap();
+        prop_assert_eq!(bits(&fast), bits(&reference));
+    }
 }
 
 proptest! {

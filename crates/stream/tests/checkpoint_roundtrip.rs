@@ -338,6 +338,26 @@ fn version_mismatch_is_a_typed_error() {
 }
 
 #[test]
+fn unusable_alpha_degrees_are_rejected_at_parse_time() {
+    // The ConFair config travels in the checkpoint and is trained from on
+    // the first on-alert retrain after a restore, so an α it cannot train
+    // with must fail parsing, not panic that retrain.
+    let json = small_checkpoint().to_json();
+    let fixed = "\"alpha\":{\"fixed\":{\"alpha_u\":2,\"alpha_w\":1}}";
+    assert!(json.contains(fixed), "fixed-α config not found");
+    for bad in [
+        "\"alpha\":{\"auto\":[]}",
+        "\"alpha\":{\"auto\":[0,-1]}",
+        "\"alpha\":{\"fixed\":{\"alpha_u\":-2,\"alpha_w\":1}}",
+    ] {
+        match EngineCheckpoint::from_json(&json.replacen(fixed, bad, 1)) {
+            Err(StreamError::Checkpoint(msg)) => assert!(msg.contains("alpha"), "got: {msg}"),
+            other => panic!("{bad}: expected a typed Checkpoint error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn truncated_and_garbled_documents_are_typed_errors() {
     let json = small_checkpoint().to_json();
     for cut in [1, json.len() / 3, json.len() - 1] {
