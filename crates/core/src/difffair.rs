@@ -92,12 +92,6 @@ impl DiffFairPredictor {
 }
 
 impl Predictor for DiffFairPredictor {
-    fn predict_rows(&self, x: &cf_linalg::Matrix) -> Result<Vec<u8>> {
-        // Sound to opt in: `route` reads only the feature values (min
-        // conformance violation), never the group or label columns.
-        crate::intervention::predict_rows_via_dataset(self, x)
-    }
-
     fn predict(&self, data: &Dataset) -> Result<Vec<u8>> {
         let routes = self.route(data);
         let x = self.encoding.transform(data)?;
@@ -219,20 +213,6 @@ mod tests {
     use cf_datasets::{synthgen::syn_drift_scaled, toy::figure1};
     use cf_density::density_filter;
     use cf_metrics::GroupConfusion;
-
-    #[test]
-    fn predict_rows_matches_dataset_path() {
-        // DiffFair routes by feature conformance alone, so the opted-in
-        // matrix fast path must reproduce the Dataset path exactly.
-        let d = figure1(31);
-        let s = split3(&d, SplitRatios::paper_default(), 31);
-        let p = DiffFair::paper_default()
-            .train(&s.train, &s.validation, LearnerKind::Logistic)
-            .unwrap();
-        let via_dataset = p.predict(&s.test).unwrap();
-        let via_rows = p.predict_rows(&s.test.numeric_matrix(None)).unwrap();
-        assert_eq!(via_rows, via_dataset);
-    }
 
     #[test]
     fn difffair_routes_most_tuples_to_their_group() {

@@ -2,7 +2,7 @@
 //! the no-intervention baseline.
 
 use crate::Result;
-use cf_data::{encode::labels_as_f64, Column, Dataset, FeatureEncoding};
+use cf_data::{encode::labels_as_f64, Dataset, FeatureEncoding};
 use cf_learners::{Learner, LearnerKind, ModelState};
 use cf_linalg::Matrix;
 
@@ -40,31 +40,18 @@ pub trait Predictor: Send {
         None
     }
 
-    /// Hard predictions straight from a row-major numeric feature matrix
-    /// (one row per tuple, one column per attribute in schema order) — the
-    /// streaming fast path, which skips [`Dataset`] assembly entirely.
+    /// Raw decision margins straight from a row-major numeric feature
+    /// matrix (one row per tuple, one column per attribute in schema
+    /// order): the pre-threshold scores whose sign is [`Predictor::predict`]
+    /// (`decision == (margin >= 0.0)` bit for bit for learner-backed
+    /// predictors). The streaming fast path: it skips [`Dataset`]
+    /// assembly entirely, and the serving side compares each margin with
+    /// a per-cell cutoff.
     ///
     /// Only meaningful for predictors trained on all-numeric schemas, and
     /// **opt-in**: the default rejects the call, because a bare matrix
     /// carries no group column and a group-routed predictor inheriting a
     /// permissive default would silently score every row as group 0.
-    /// Learner-backed predictors override it to feed their feature
-    /// encoding directly; predictors whose serving decision never reads
-    /// groups or labels may delegate to [`predict_rows_via_dataset`].
-    fn predict_rows(&self, _x: &Matrix) -> Result<Vec<u8>> {
-        Err(crate::CoreError::Unsupported(
-            "this predictor does not implement the row-matrix fast path; \
-             use predict with a Dataset"
-                .into(),
-        ))
-    }
-
-    /// Raw decision margins straight from a row-major numeric feature
-    /// matrix: the pre-threshold scores whose sign is [`Predictor::
-    /// predict_rows`] (`decision == (margin >= 0.0)` bit for bit for
-    /// learner-backed predictors). Opt-in like `predict_rows`, and for
-    /// the same reason; serve-time threshold repair needs the boundary
-    /// itself, not just its sign, so it can shift per-cell cutoffs.
     fn predict_margin_rows(&self, _x: &Matrix) -> Result<Vec<f64>> {
         Err(crate::CoreError::Unsupported(
             "this predictor does not expose raw decision margins; \
@@ -72,19 +59,6 @@ pub trait Predictor: Send {
                 .into(),
         ))
     }
-}
-
-/// `Predictor::predict_rows` via the `Dataset` path: materialise a
-/// column-major dataset from `x` with *placeholder* labels and groups and
-/// call `predict`. Sound only for predictors whose serving decision never
-/// reads groups or labels (e.g. DiffFair, which routes by conformance of
-/// the features alone) — group-routed predictors must not delegate here.
-pub fn predict_rows_via_dataset(predictor: &dyn Predictor, x: &Matrix) -> Result<Vec<u8>> {
-    let n = x.rows();
-    let names: Vec<String> = (0..x.cols()).map(|j| format!("x{j}")).collect();
-    let columns: Vec<Column> = (0..x.cols()).map(|j| Column::Numeric(x.col(j))).collect();
-    let data = Dataset::new("predict-rows", names, columns, vec![0; n], vec![0; n])?;
-    predictor.predict(&data)
 }
 
 /// A fairness intervention: consumes the training/validation splits and a
@@ -167,11 +141,6 @@ impl Predictor for SingleModelPredictor {
             encoding: self.encoding.clone(),
             model,
         })
-    }
-
-    fn predict_rows(&self, x: &Matrix) -> Result<Vec<u8>> {
-        let encoded = self.encoding.transform_rows(x)?;
-        Ok(self.model.predict(&encoded)?)
     }
 
     fn predict_margin_rows(&self, x: &Matrix) -> Result<Vec<f64>> {
@@ -260,8 +229,8 @@ mod tests {
     #[test]
     fn predict_rows_matches_dataset_path() {
         // The Fig. 1 toy data is all-numeric, so the learner-backed
-        // override and the opt-in Dataset-wrapping helper must both agree
-        // with plain `predict` exactly.
+        // margins thresholded at zero must agree with plain `predict`
+        // exactly.
         let data = figure1(4);
         let s = split3(&data, SplitRatios::paper_default(), 4);
         let p = NoIntervention
@@ -269,9 +238,13 @@ mod tests {
             .unwrap();
         let via_dataset = p.predict(&s.test).unwrap();
         let x = s.test.numeric_matrix(None);
-        let via_rows = p.predict_rows(&x).unwrap();
+        let via_rows: Vec<u8> = p
+            .predict_margin_rows(&x)
+            .unwrap()
+            .into_iter()
+            .map(|m| u8::from(m >= 0.0))
+            .collect();
         assert_eq!(via_rows, via_dataset);
-        assert_eq!(predict_rows_via_dataset(&*p, &x).unwrap(), via_dataset);
 
         // A predictor that does not opt in is rejected, never misrouted.
         struct Wrap(Box<dyn Predictor>);
@@ -282,7 +255,7 @@ mod tests {
         }
         let wrapped = Wrap(p);
         assert!(matches!(
-            wrapped.predict_rows(&x),
+            wrapped.predict_margin_rows(&x),
             Err(crate::CoreError::Unsupported(_))
         ));
     }

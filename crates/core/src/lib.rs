@@ -33,8 +33,7 @@ pub mod tuning;
 pub use confair::{AlphaMode, ConFair, ConFairConfig, FairnessTarget};
 pub use difffair::{DiffFair, DiffFairConfig};
 pub use intervention::{
-    predict_rows_via_dataset, Intervention, NoIntervention, Predictor, PredictorState,
-    SingleModelPredictor,
+    Intervention, NoIntervention, Predictor, PredictorState, SingleModelPredictor,
 };
 pub use multimodel::MultiModel;
 pub use pipeline::{evaluate, evaluate_repeated, EvalOutcome, Pipeline};
@@ -63,8 +62,8 @@ pub enum CoreError {
         feature: usize,
     },
     /// The requested serving path is not supported by this predictor
-    /// (e.g. the group-blind `predict_rows` fast path on a group-routed
-    /// model).
+    /// (e.g. the group-blind `predict_margin_rows` fast path on a
+    /// group-routed model).
     Unsupported(String),
     /// A configuration value no training run can use (e.g. an empty α
     /// grid or a negative intervention degree).

@@ -49,9 +49,9 @@ impl Predictor for MultiModelPredictor {
             .collect()
     }
 
-    // `predict_rows` deliberately stays the rejecting trait default: this
-    // predictor routes by group membership, which a bare feature matrix
-    // cannot carry.
+    // `predict_margin_rows` deliberately stays the rejecting trait default:
+    // this predictor routes by group membership, which a bare feature
+    // matrix cannot carry.
 }
 
 impl Intervention for MultiModel {
@@ -111,7 +111,10 @@ mod tests {
             .train(&s.train, &s.validation, LearnerKind::Logistic)
             .unwrap();
         let x = s.test.numeric_matrix(None);
-        assert!(matches!(p.predict_rows(&x), Err(CoreError::Unsupported(_))));
+        assert!(matches!(
+            p.predict_margin_rows(&x),
+            Err(CoreError::Unsupported(_))
+        ));
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::engine::{
     StreamEngine, StreamTuple,
 };
 use crate::monitor::{FairnessSnapshot, Monitor};
-use crate::repair::{RepairTier, RepairUpdate};
+use crate::repair::{RepairOverlay, RepairTier};
 use crate::scorer::Scorer;
 use crate::supervise::{Backoff, ShardHealth, SupervisorConfig};
 use crate::telemetry::StreamMetrics;
@@ -334,8 +334,8 @@ impl BoundedQueue {
 /// score path: the monitor publishes with one atomic swap, the score path
 /// takes with one atomic swap — no locks on either side, and an
 /// unconsumed older value is simply superseded (latest wins). Carries
-/// replacement predictors and repair-ladder updates; collapsing
-/// intermediate updates is safe because a [`RepairUpdate`] carries
+/// replacement predictors and repair overlays; collapsing intermediate
+/// overlays is safe because a [`RepairOverlay`] carries
 /// *absolute* state (full threshold vector, full projection profiles),
 /// never deltas.
 struct Slot<T> {
@@ -490,7 +490,7 @@ struct Supervision {
 struct Shared {
     queue: BoundedQueue,
     model: Slot<Box<dyn Predictor>>,
-    repair: Slot<RepairUpdate>,
+    repair: Slot<RepairOverlay>,
     stats: Mutex<PublishedState>,
     sup: Mutex<Supervision>,
     /// Records between recovery-clone refreshes on the monitor thread.
@@ -806,35 +806,32 @@ impl AsyncEngine {
             return Ok(decisions);
         }
         let n = batch.len() as u64;
-        if self.health() == ShardHealth::Restarting {
-            // The monitor is between incarnations: serve unmonitored
-            // rather than block or fail. These tuples burn ids but never
-            // reach a queue, so the gap arithmetic at respawn counts
-            // them automatically.
-            self.scored += n;
-            self.refresh_serving_metrics();
-            return Ok(decisions);
-        }
-        if let Err(push_err) = self.shared.queue.push_record(
-            self.scored,
-            batch,
-            decisions.clone(),
-            self.async_config.backpressure,
-        ) {
-            // The consumer died between the liveness check and the push.
-            // The batch was served either way, so burn its ids *first* —
-            // the tuples never reached a queue, which makes them gap
-            // tuples at the respawn the supervisor now schedules (or
-            // performs). Only a dead budget surfaces as an error.
-            self.scored += n;
-            self.supervise(false).map_err(|_| push_err)?;
-            self.refresh_serving_metrics();
-            return Ok(decisions);
-        }
+        // While the monitor is between incarnations, serve unmonitored
+        // rather than block or fail: these tuples burn ids but never
+        // reach a queue, so the gap arithmetic at respawn counts them
+        // automatically.
+        let pushed = if self.health() == ShardHealth::Restarting {
+            Ok(())
+        } else {
+            self.shared.queue.push_record(
+                self.scored,
+                batch,
+                decisions.clone(),
+                self.async_config.backpressure,
+            )
+        };
         self.scored += n;
+        if let Err(push_err) = pushed {
+            // The consumer died between the liveness check and the push.
+            // The batch was served either way, so its ids were burned
+            // above — the tuples never reached a queue, which makes them
+            // gap tuples at the respawn the supervisor now schedules (or
+            // performs). Only a dead budget surfaces as an error.
+            self.supervise(false).map_err(|_| push_err)?;
+        }
         if let (Some(m), Some(started)) = (&self.metrics, started) {
             m.ingest_latency_us
-                .observe(started.elapsed().as_micros() as f64);
+                .observe(started.elapsed().as_secs_f64() * 1e6);
             m.ingest_batches.inc();
             m.ingest_tuples.add(n);
         }
@@ -902,15 +899,15 @@ impl AsyncEngine {
     }
 
     /// Pick up whatever the monitor published — a retrained model, a
-    /// repair-ladder update (threshold nudges, projection installs) — with
+    /// repair overlay (threshold nudges, projection installs) — with
     /// one wait-free atomic swap per slot, no lock around the model
     /// parameters.
     fn install_published(&mut self) {
         if let Some(model) = self.shared.model.take() {
             self.scorer_mut().install(model);
         }
-        if let Some(update) = self.shared.repair.take() {
-            self.scorer_mut().apply_repair(update);
+        if let Some(overlay) = self.shared.repair.take() {
+            self.scorer_mut().apply_repair(overlay);
         }
     }
 
@@ -1372,8 +1369,8 @@ fn monitor_loop(mut monitor: Monitor, shared: &Shared) -> Monitor {
                         // repair_end, exactly as the sync engine orders it.
                         monitor.emit_model_swap();
                     }
-                    if let Some(update) = outcome.repair {
-                        shared.repair.publish(update);
+                    if let Some(overlay) = outcome.repair {
+                        shared.repair.publish(overlay);
                     }
                     outcome.retrain_error
                 });
@@ -1430,8 +1427,8 @@ mod tests {
             fn predict(&self, _data: &Dataset) -> confair_core::Result<Vec<u8>> {
                 Ok(vec![self.0])
             }
-            fn predict_rows(&self, x: &cf_linalg::Matrix) -> confair_core::Result<Vec<u8>> {
-                Ok(vec![self.0; x.rows()])
+            fn predict_margin_rows(&self, x: &cf_linalg::Matrix) -> confair_core::Result<Vec<f64>> {
+                Ok(vec![f64::from(self.0); x.rows()])
             }
         }
         let slot: Slot<Box<dyn Predictor>> = Slot::empty();
@@ -1440,7 +1437,11 @@ mod tests {
         slot.publish(Box::new(Dummy(2)));
         let taken = slot.take().expect("a model is pending");
         let x = cf_linalg::Matrix::zeros(1, 1);
-        assert_eq!(taken.predict_rows(&x).unwrap(), vec![2], "latest wins");
+        assert_eq!(
+            taken.predict_margin_rows(&x).unwrap(),
+            vec![2.0],
+            "latest wins"
+        );
         assert!(slot.take().is_none(), "take empties the slot");
         // Leave one unconsumed for Drop to free (the exactly-once drop
         // accounting is pinned by `slot_drops_every_value_exactly_once`).

@@ -357,7 +357,7 @@ impl StreamEngine {
         // publication still in flight when they reunite. Identity state
         // re-applies as the identity, so this never perturbs a
         // ladder-free engine.
-        scorer.apply_repair(monitor.repair_update());
+        scorer.apply_repair(monitor.repair_overlay());
         Ok(StreamEngine {
             scorer,
             monitor,
@@ -413,12 +413,12 @@ impl StreamEngine {
             self.scorer.install(model);
             self.monitor.emit_model_swap();
         }
-        if let Some(update) = outcome.repair {
+        if let Some(overlay) = outcome.repair {
             // Same synchronous publication for ladder repairs: nudged
             // thresholds (or a reset after a successful retrain) govern
             // the very next batch. The sharded per-shard paths funnel
             // through here too, so one install point covers both.
-            self.scorer.apply_repair(update);
+            self.scorer.apply_repair(overlay);
         }
         if let (Some(m), Some(started)) = (&self.metrics, started) {
             m.ingest_latency_us
@@ -459,16 +459,7 @@ impl StreamEngine {
     /// inside retraining is contained and surfaced as
     /// [`StreamError::RetrainPanicked`]; a success clears degraded mode.
     pub fn retrain_now(&mut self) -> Result<()> {
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.monitor.retrain()));
-        let predictor = match outcome {
-            Ok(result) => result?,
-            Err(payload) => {
-                return Err(StreamError::RetrainPanicked(crate::monitor::panic_text(
-                    payload.as_ref(),
-                )))
-            }
-        };
+        let predictor = self.monitor.retrain_attempt()?;
         self.scorer.install(predictor);
         self.monitor.emit_model_swap();
         self.monitor.clear_degraded();
@@ -477,9 +468,10 @@ impl StreamEngine {
             // tier-3 success does: serve-time corrections no longer
             // apply, so the ladder resets and the scorer's overlay
             // returns to the identity.
-            let update = self.monitor.reset_ladder();
-            self.scorer.apply_repair(update);
+            let overlay = self.monitor.reset_ladder();
+            self.scorer.apply_repair(overlay);
         }
+        self.monitor.refresh_metrics();
         Ok(())
     }
 
@@ -610,14 +602,12 @@ impl StreamEngine {
             #[cfg(feature = "fault-injection")]
             faults: None,
         };
-        if !monitor.ladder.is_identity() {
-            // The checkpoint caught a live repair episode (or repairs left
-            // installed after recovery): re-arm the serving overlay so the
-            // restored engine's decision boundary resumes bit-identically.
-            // The tier-2 projection is rebuilt from the checkpointed
-            // conformance profiles, same as the live publication.
-            scorer.apply_repair(monitor.repair_update());
-        }
+        // Re-arm the serving overlay so a checkpoint that caught a live
+        // repair episode (or repairs left installed after recovery)
+        // resumes at a bit-identical decision boundary. The tier-2
+        // projection is rebuilt from the checkpointed conformance
+        // profiles, same as the live publication.
+        scorer.apply_repair(monitor.repair_overlay());
         Ok(StreamEngine {
             scorer,
             monitor,

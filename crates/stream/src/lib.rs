@@ -85,7 +85,7 @@ pub use engine::{
 pub use faults::{FaultKind, FaultPlan, MonitorPanics, RetrainFaults};
 pub use groups::GroupLayout;
 pub use monitor::{FairnessSnapshot, FeedbackOutcome, Monitor, ObserveOutcome};
-pub use repair::{RepairLadder, RepairTier, RepairUpdate};
+pub use repair::{RepairLadder, RepairOverlay, RepairTier};
 pub use scorer::Scorer;
 pub use sharded::{
     Shard, Sharded, ShardedAsyncEngine, ShardedEngine, ShardedFeedback, ShardedOutcome,

@@ -35,7 +35,7 @@
 
 use crate::drift::{DriftAlert, DriftKind, PageHinkley};
 use crate::engine::{LabelFeedback, RetrainPolicy, StreamConfig, StreamTuple};
-use crate::repair::{RepairLadder, RepairTier, RepairUpdate};
+use crate::repair::{RepairLadder, RepairOverlay, RepairTier};
 use crate::telemetry::StreamMetrics;
 use crate::window::{JoinStats, LabelJoin, SlidingWindow, SlotMeta};
 use crate::{Result, StreamError};
@@ -170,15 +170,6 @@ impl std::fmt::Display for FairnessSnapshot {
 /// `profiles[g][y]` for group cell `g` in `0..K` and binary label `y`.
 pub(crate) type CellProfiles = Vec<[Option<ConstraintSet>; 2]>;
 
-/// What one ladder batch produced:
-/// `(retrained, retrain_error, model, repair_update)`.
-type LadderOutcome = (
-    bool,
-    Option<StreamError>,
-    Option<Box<dyn Predictor>>,
-    Option<RepairUpdate>,
-);
-
 /// What one [`Monitor::observe`] call produced.
 ///
 /// Not `Clone`/`Debug`: a successful on-alert retrain hands back the
@@ -203,13 +194,13 @@ pub struct ObserveOutcome {
     /// before returning, the async engine's monitor thread publishes it
     /// through the atomically-swapped model slot.
     pub model: Option<Box<dyn Predictor>>,
-    /// A repair-state publication the ladder produced this batch
-    /// (thresholds nudged, projection toggled, or artifacts reset by a
-    /// successful retrain). Like `model`, the caller owns delivery: the
-    /// sync engine applies it to its scorer before returning, the async
-    /// engine's monitor thread publishes it through a swap slot. `None`
-    /// whenever the ladder is off or took no action.
-    pub repair: Option<RepairUpdate>,
+    /// A repair overlay the ladder published this batch (thresholds
+    /// nudged, projection toggled, or artifacts reset by a successful
+    /// retrain). Like `model`, the caller owns delivery: the sync engine
+    /// applies it to its scorer before returning, the async engine's
+    /// monitor thread publishes it through a swap slot. `None` whenever
+    /// the ladder is off or took no action.
+    pub repair: Option<RepairOverlay>,
 }
 
 /// What one [`Monitor::feedback`] call produced: how each record resolved,
@@ -415,7 +406,7 @@ impl Monitor {
 
     /// Flip into degraded mode (emits the transition once; repeat
     /// failures while already degraded are visible as repair-end events).
-    fn enter_degraded(&mut self, attempts: u64, error: Option<&StreamError>) {
+    fn enter_degraded(&mut self, attempts: u64, error: &StreamError) {
         if self.degraded {
             return;
         }
@@ -425,7 +416,7 @@ impl Monitor {
                 at_tuple: self.seen,
                 entered: true,
                 attempts,
-                error: error.map(|e| e.to_string()),
+                error: Some(error.to_string()),
                 retrains: self.retrains,
             },
         ));
@@ -466,7 +457,7 @@ impl Monitor {
     }
 
     /// Refresh the monitor-side gauges after a state change.
-    fn refresh_metrics(&self) {
+    pub(crate) fn refresh_metrics(&self) {
         if let Some(m) = &self.metrics {
             m.alerts_total.set_u64(self.alerts.len() as u64);
             m.retrains_total.set_u64(self.retrains);
@@ -525,6 +516,13 @@ impl Monitor {
                 self.ids_issued
             )));
         }
+        if decisions.len() != batch.len() {
+            return Err(StreamError::Schema(format!(
+                "{} decisions for a batch of {} tuples",
+                decisions.len(),
+                batch.len()
+            )));
+        }
         if batch.is_empty() {
             return Ok(ObserveOutcome {
                 first_id,
@@ -535,13 +533,6 @@ impl Monitor {
                 model: None,
                 repair: None,
             });
-        }
-        if decisions.len() != batch.len() {
-            return Err(StreamError::Schema(format!(
-                "{} decisions for a batch of {} tuples",
-                decisions.len(),
-                batch.len()
-            )));
         }
         // Counter deltas are only needed for the audit trail; without a
         // sink the copy (and everything else telemetry adds) is skipped.
@@ -624,32 +615,28 @@ impl Monitor {
                 self.emit(crate::telemetry::alert_event(alert, &snapshot));
             }
         }
-        let mut retrained = false;
-        let mut retrain_error = None;
-        let mut model = None;
-        let mut repair_update = None;
+        let mut retrain = None;
+        let mut repair = None;
         if self.config.repair.ladder {
             // The escalation ladder owns repair end to end: the legacy
             // retrain-on-alert path is disabled so a DI-floor alert can
             // never trigger a tier-3 retrain before the cheap tiers had
             // their chance.
-            let (r, e, m, u) = self.ladder_step(&snapshot);
-            retrained = r;
-            retrain_error = e;
-            model = m;
-            repair_update = u;
+            (retrain, repair) = self.ladder_step(&snapshot);
         } else if !new_alerts.is_empty() {
             if let RetrainPolicy::OnAlert { min_window } = self.config.retrain {
                 if self.window.len() >= min_window {
-                    let (r, e, m) = self.run_retrain_episode();
-                    retrained = r;
-                    retrain_error = e;
-                    model = m;
+                    retrain = Some(self.run_retrain_episode());
                 }
             }
         }
         self.refresh_metrics();
 
+        let (retrained, retrain_error, model) = match retrain {
+            Some(Ok(model)) => (true, None, Some(model)),
+            Some(Err(e)) => (false, Some(e), None),
+            None => (false, None, None),
+        };
         Ok(ObserveOutcome {
             first_id,
             alerts: new_alerts,
@@ -657,25 +644,22 @@ impl Monitor {
             retrained,
             retrain_error,
             model,
-            repair: repair_update,
+            repair,
         })
     }
 
-    /// One repair *episode*: a bounded retry loop around the retraining
-    /// hook, bracketed by `repair_start`/`repair_end` trail events. Each
-    /// attempt may fail (or panic — contained and converted to
-    /// `RetrainPanicked`); between attempts we back off with seeded
+    /// One repair *episode*: a bounded retry loop around
+    /// [`Monitor::retrain_attempt`], bracketed by `repair_start`/`repair_end`
+    /// trail events. Between failed attempts we back off with seeded
     /// jitter, and the whole episode is bounded by both an attempt budget
     /// and a wall-clock timeout. Exhausting the budget flips the engine
-    /// into degraded mode: the stale model keeps serving, loudly.
+    /// into degraded mode: the stale model keeps serving, loudly, and the
+    /// last attempt's error comes back.
     ///
     /// Shared verbatim by the legacy retrain-on-alert path and the
     /// ladder's tier 3, so both produce the same trail bytes and the same
     /// degraded-mode semantics.
-    fn run_retrain_episode(&mut self) -> (bool, Option<StreamError>, Option<Box<dyn Predictor>>) {
-        let mut retrained = false;
-        let mut retrain_error = None;
-        let mut model = None;
+    fn run_retrain_episode(&mut self) -> Result<Box<dyn Predictor>> {
         self.emit(TelemetryEvent::RepairStart(RepairStartEvent {
             at_tuple: self.seen,
             tier: "confair_retrain".into(),
@@ -686,17 +670,11 @@ impl Monitor {
         let repair = self.config.repair;
         let mut backoff = repair.backoff(self.retrains);
         let mut attempts: u64 = 0;
-        loop {
+        let outcome = loop {
             attempts += 1;
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.retrain()));
-            let error = match outcome {
-                Ok(Ok(predictor)) => {
-                    retrained = true;
-                    model = Some(predictor);
-                    break;
-                }
-                Ok(Err(e)) => e,
-                Err(payload) => StreamError::RetrainPanicked(panic_text(payload.as_ref())),
+            let error = match self.retrain_attempt() {
+                Ok(predictor) => break Ok(predictor),
+                Err(e) => e,
             };
             if let Some(m) = &self.metrics {
                 m.retrain_failures_total.inc();
@@ -704,15 +682,14 @@ impl Monitor {
             let out_of_budget =
                 attempts >= u64::from(repair.attempts()) || started.elapsed() >= repair.timeout();
             if out_of_budget {
-                retrain_error = Some(error);
-                break;
+                break Err(error);
             }
             let remaining = repair.timeout().saturating_sub(started.elapsed());
             let delay = backoff.next_delay().min(remaining);
             if !delay.is_zero() {
                 std::thread::sleep(delay);
             }
-        }
+        };
         let duration_us = started.elapsed().as_micros() as u64;
         if let Some(m) = &self.metrics {
             m.retrain_duration_us.observe(duration_us as f64);
@@ -720,17 +697,30 @@ impl Monitor {
         self.emit(TelemetryEvent::RepairEnd(RepairEndEvent {
             at_tuple: self.seen,
             tier: "confair_retrain".into(),
-            outcome: if retrained { "retrained" } else { "failed" }.into(),
-            error: retrain_error.as_ref().map(|e| e.to_string()),
+            outcome: if outcome.is_ok() {
+                "retrained"
+            } else {
+                "failed"
+            }
+            .into(),
+            error: outcome.as_ref().err().map(|e| e.to_string()),
             duration_us,
             retrains: self.retrains,
         }));
-        if retrained {
-            self.clear_degraded();
-        } else {
-            self.enter_degraded(attempts, retrain_error.as_ref());
+        match &outcome {
+            Ok(_) => self.clear_degraded(),
+            Err(e) => self.enter_degraded(attempts, e),
         }
-        (retrained, retrain_error, model)
+        outcome
+    }
+
+    /// One attempt of the retraining hook with any panic inside it
+    /// contained and surfaced as [`StreamError::RetrainPanicked`]. Emits
+    /// no trail events of its own.
+    pub(crate) fn retrain_attempt(&mut self) -> Result<Box<dyn Predictor>> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.retrain())).unwrap_or_else(
+            |payload| Err(StreamError::RetrainPanicked(panic_text(payload.as_ref()))),
+        )
     }
 
     /// One batch of the repair-escalation ladder (see [`crate::repair`]):
@@ -744,15 +734,19 @@ impl Monitor {
     /// otherwise the ladder holds at tier 2 (the cheap, label-free rungs
     /// are exactly what a never-retrain deployment still gets).
     ///
-    /// Returns `(retrained, retrain_error, model, repair_update)`.
-    fn ladder_step(&mut self, snapshot: &FairnessSnapshot) -> LadderOutcome {
+    /// Returns the tier-3 retrain episode's outcome, if one ran, and the
+    /// overlay to publish, if the repair artifacts moved.
+    fn ladder_step(
+        &mut self,
+        snapshot: &FairnessSnapshot,
+    ) -> (Option<Result<Box<dyn Predictor>>>, Option<RepairOverlay>) {
         let repair = self.config.repair;
         let verdict = snapshot.passes_di_floor();
         let unhealthy = verdict == Some(false) && self.window.len() >= self.config.floor_min_window;
 
         if self.ladder.active.is_none() {
             if !unhealthy {
-                return (false, None, None, None);
+                return (None, None);
             }
             // Open an episode on the cheapest rung.
             self.ladder.batches_in_tier = 0;
@@ -774,22 +768,22 @@ impl Monitor {
                 self.ladder.batches_in_tier = 0;
                 self.ladder.recovery_streak = 0;
             }
-            return (false, None, None, None);
+            return (None, None);
         }
         if !unhealthy {
             // An unobserved reading (or a still-thin window) is evidence
             // of nothing: it neither burns patience nor counts as
             // recovery.
-            return (false, None, None, None);
+            return (None, None);
         }
         self.ladder.recovery_streak = 0;
         self.ladder.batches_in_tier += 1;
 
-        let mut update = None;
+        let mut overlay = None;
         match tier {
             RepairTier::ThresholdNudge => {
                 if self.nudge_disadvantaged_cell() {
-                    update = Some(self.repair_update());
+                    overlay = Some(self.repair_overlay());
                 }
             }
             RepairTier::DiffFairProjection => {
@@ -798,7 +792,7 @@ impl Monitor {
                 // mid-tier-2.
                 if !self.ladder.projection {
                     self.ladder.projection = true;
-                    update = Some(self.repair_update());
+                    overlay = Some(self.repair_overlay());
                 }
             }
             // `active` never rests on tier 3 (entry runs the retrain and
@@ -808,18 +802,18 @@ impl Monitor {
         }
 
         if self.ladder.batches_in_tier < repair.patience() {
-            return (false, None, None, update);
+            return (None, overlay);
         }
         let Some(next) = tier.next() else {
-            return (false, None, None, update);
+            return (None, overlay);
         };
         if next == RepairTier::ConFairRetrain {
             let RetrainPolicy::OnAlert { min_window } = self.config.retrain else {
                 // No retrain policy: the ladder tops out at tier 2.
-                return (false, None, None, update);
+                return (None, overlay);
             };
             if self.window.len() < min_window {
-                return (false, None, None, update);
+                return (None, overlay);
             }
             self.emit_repair_end(tier, "escalated", None);
             self.ladder.active = Some(RepairTier::ConFairRetrain);
@@ -827,8 +821,8 @@ impl Monitor {
             // Tier 3 acts on entry: one bounded retrain episode (which
             // brackets itself with `confair_retrain` start/end events and
             // owns the degraded-mode transitions).
-            let (retrained, retrain_error, model) = self.run_retrain_episode();
-            if retrained {
+            let retrain = self.run_retrain_episode();
+            if retrain.is_ok() {
                 // Repaired at the root: the stream was re-profiled, so
                 // the serve-time corrections no longer apply. Reset them
                 // and close the episode.
@@ -836,7 +830,7 @@ impl Monitor {
                 self.ladder.active = None;
                 self.ladder.batches_in_tier = 0;
                 self.ladder.recovery_streak = 0;
-                update = Some(self.repair_update());
+                overlay = Some(self.repair_overlay());
             } else {
                 // Budget exhausted (the episode flagged degraded mode):
                 // fall back to tier 2 so the cheap rungs keep serving
@@ -844,13 +838,13 @@ impl Monitor {
                 // `tier_patience` unhealthy batches re-enter tier 3.
                 if !self.ladder.projection {
                     self.ladder.projection = true;
-                    update = Some(self.repair_update());
+                    overlay = Some(self.repair_overlay());
                 }
                 self.ladder.active = Some(RepairTier::DiffFairProjection);
                 self.ladder.batches_in_tier = 0;
                 self.emit_repair_start(RepairTier::DiffFairProjection);
             }
-            return (retrained, retrain_error, model, update);
+            return (Some(retrain), overlay);
         }
         // Escalate to tier 2 and act immediately: install the projection.
         self.emit_repair_end(tier, "escalated", None);
@@ -860,10 +854,10 @@ impl Monitor {
         if !self.ladder.projection {
             let t0 = std::time::Instant::now();
             self.ladder.projection = true;
-            update = Some(self.repair_update());
+            overlay = Some(self.repair_overlay());
             self.ladder.work_ns += t0.elapsed().as_nanos() as u64;
         }
-        (false, None, None, update)
+        (None, overlay)
     }
 
     /// Tier 1's action: lower the disadvantaged cell's margin cutoff by
@@ -899,11 +893,10 @@ impl Monitor {
         true
     }
 
-    /// The full repair state as a scorer publication (absolute
-    /// thresholds; profiles attached while the projection is installed).
-    pub(crate) fn repair_update(&self) -> RepairUpdate {
-        RepairUpdate {
-            tier: self.ladder.active,
+    /// The full repair state as a scorer overlay (absolute thresholds;
+    /// profiles attached while the projection is installed).
+    pub(crate) fn repair_overlay(&self) -> RepairOverlay {
+        RepairOverlay {
             thresholds: self.ladder.thresholds.clone(),
             projection: self.ladder.projection.then(|| self.profiles.clone()),
         }
@@ -912,8 +905,8 @@ impl Monitor {
     /// Close any open ladder episode and zero the repair artifacts — a
     /// manual retrain re-profiled the stream exactly like a tier-3
     /// success, so serve-time corrections no longer apply. Returns the
-    /// identity publication for the scorer.
-    pub(crate) fn reset_ladder(&mut self) -> RepairUpdate {
+    /// identity overlay for the scorer.
+    pub(crate) fn reset_ladder(&mut self) -> RepairOverlay {
         if let Some(tier) = self.ladder.active.take() {
             self.emit_repair_end(tier, "retrained", None);
         }
@@ -921,10 +914,7 @@ impl Monitor {
         self.ladder.batches_in_tier = 0;
         self.ladder.recovery_streak = 0;
         self.ladder.work_ns = 0;
-        if let Some(m) = &self.metrics {
-            m.repair_tier.set(0.0);
-        }
-        self.repair_update()
+        self.repair_overlay()
     }
 
     fn emit_repair_start(&self, tier: RepairTier) {
@@ -1235,7 +1225,7 @@ pub(crate) fn learn_profiles(reference: &Dataset, config: &StreamConfig) -> Cell
 /// Best-effort stringification of a caught panic payload (the `&str` and
 /// `String` cases cover `panic!` and the injected-fault seam; anything
 /// else is opaque by construction).
-pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -1260,6 +1250,20 @@ mod tests {
             true_positive: tp,
             false_positive: selected.saturating_sub(tp),
         }
+    }
+
+    #[test]
+    fn observe_checks_lengths_before_the_empty_batch_return() {
+        let reference = cf_datasets::stream::DriftStreamSpec::default().reference(400, 1);
+        let mut monitor =
+            Monitor::from_reference(&reference, LearnerKind::Logistic, StreamConfig::default())
+                .unwrap();
+        let empty: &[StreamTuple] = &[];
+        assert!(matches!(
+            monitor.observe(empty, &[1]),
+            Err(StreamError::Schema(_))
+        ));
+        assert!(monitor.observe(empty, &[]).is_ok());
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //!    tiers have failed to lift DI* for
 //!    [`RepairConfig::tier_patience`](crate::RepairConfig) batches each.
 //!
-//! The ladder is **off by default** (`RepairConfig::ladder == false`) and
-//! all-zero thresholds with no projection take the exact pre-ladder
-//! scoring path — the `tests/repair_ladder.rs` golden fixtures pin that
+//! The ladder is **off by default** (`RepairConfig::ladder == false`).
+//! Every batch is decided through one rule, `margin - gap >= threshold`,
+//! and the identity [`RepairOverlay`] (all-zero thresholds, no
+//! projection) reduces it to the model's own `margin >= 0.0` bit for
+//! bit — the `tests/repair_ladder.rs` golden fixtures pin that
 //! equivalence byte for byte. State machine: an episode opens when the
 //! windowed DI* reading fails the floor, escalates monotonically
 //! (1 → 2 → 3), de-escalates (episode closes) after
@@ -125,12 +127,6 @@ impl RepairLadder {
         }
     }
 
-    /// Whether thresholds and projection are both the identity (the
-    /// scorer may take the pre-ladder fast path).
-    pub fn is_identity(&self) -> bool {
-        !self.projection && self.thresholds.iter().all(|&t| t == 0.0)
-    }
-
     /// The rung of the open episode, if one is open.
     pub fn active(&self) -> Option<RepairTier> {
         self.active
@@ -155,19 +151,45 @@ impl RepairLadder {
     }
 }
 
-/// A full repair-state publication from monitor to scorer: absolute
-/// thresholds plus the projection profiles when tier 2 is installed.
-/// Carries complete state (not deltas), so the async engine's
-/// latest-wins swap slot is safe to collapse intermediate updates.
-pub struct RepairUpdate {
-    /// The rung of the open episode after the batch that produced this
-    /// update (observability only; the scorer ignores it).
-    pub tier: Option<RepairTier>,
-    /// Per-cell margin cutoffs to install.
+/// The serving-side repair state the monitor publishes to the scorer:
+/// absolute per-cell margin cutoffs plus the conformance profiles when the
+/// tier-2 projection is installed. Carries complete state (not deltas),
+/// so the async engine's latest-wins swap slot is safe to collapse
+/// intermediate publications. The default is the identity: no cutoffs,
+/// no projection.
+#[derive(Default)]
+pub struct RepairOverlay {
+    /// Per-cell margin cutoffs; a cell without one decides at 0.0.
     pub(crate) thresholds: Vec<f64>,
-    /// `Some(profiles)` installs the tier-2 conformance projection;
-    /// `None` uninstalls it.
+    /// `Some(profiles)` installs the tier-2 conformance projection.
     pub(crate) projection: Option<CellProfiles>,
+}
+
+impl RepairOverlay {
+    /// The margin cutoff for `cell` (0.0 when the cell is out of range —
+    /// a tuple from a cell the monitor has no threshold for decides at
+    /// the model's native boundary).
+    pub(crate) fn threshold(&self, cell: u8) -> f64 {
+        self.thresholds
+            .get(usize::from(cell))
+            .copied()
+            .unwrap_or(0.0)
+    }
+
+    /// The tier-2 conformance gap for `row` in `cell`: how much worse the
+    /// row conforms to the accepted-class profile than to the
+    /// rejected-class profile. Positive gap lowers the effective margin.
+    pub(crate) fn conformance_gap(&self, cell: u8, row: &[f64]) -> f64 {
+        match &self.projection {
+            Some(profiles) => match profiles.get(usize::from(cell)) {
+                Some([Some(rejected), Some(accepted)]) => {
+                    accepted.violation(row) - rejected.violation(row)
+                }
+                _ => 0.0,
+            },
+            None => 0.0,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -200,12 +222,12 @@ mod tests {
     #[test]
     fn idle_ladder_is_the_identity() {
         let mut ladder = RepairLadder::idle(4);
-        assert!(ladder.is_identity());
         assert_eq!(ladder.thresholds(), &[0.0; 4]);
+        assert!(!ladder.projection);
         ladder.thresholds[2] = -0.25;
         ladder.projection = true;
-        assert!(!ladder.is_identity());
         ladder.reset_artifacts();
-        assert!(ladder.is_identity());
+        assert_eq!(ladder.thresholds(), &[0.0; 4]);
+        assert!(!ladder.projection);
     }
 }

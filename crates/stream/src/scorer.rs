@@ -3,7 +3,7 @@
 //!
 //! [`Scorer`] is the latency-critical path distilled out of the old
 //! monolithic `StreamEngine`: it turns a validated micro-batch into hard
-//! decisions via the predictor's row-matrix fast path, allocation-free in
+//! decisions via the predictor's row-matrix margins, allocation-free in
 //! steady state, and holds **no** monitoring state — no window, no
 //! detectors, no alert log. That is what makes it cheap to keep on the
 //! caller's thread while a [`Monitor`](crate::Monitor) runs elsewhere: the
@@ -11,71 +11,25 @@
 //! predictor ([`Scorer::install`]) or a whole repair overlay
 //! ([`Scorer::apply_repair`]), both installed between batches.
 //!
-//! ## The repair overlay
+//! ## The decision rule
 //!
-//! The monitor's repair ladder (see [`crate::repair`]) publishes per-cell
-//! margin thresholds and, at tier 2, per-cell conformance profiles. While
-//! the overlay is the identity (all-zero thresholds, no projection) the
-//! scorer takes the exact pre-ladder `predict_rows` path — decisions,
-//! allocation behaviour, and floating-point trajectories are bit-identical
-//! to an engine built before the ladder existed. With a live overlay the
-//! scorer switches to the predictor's margin path and decides
-//! `margin' >= threshold[cell]`, where `margin'` subtracts the tier-2
-//! conformance gap when projection is installed. The repair path allocates
-//! one margins vector per batch; repair episodes are transient, so the
-//! identity fast path keeps the steady state allocation-free.
+//! Every batch is decided through one rule: the predictor's raw margins
+//! ([`Predictor::predict_margin_rows`]) are compared per tuple against the
+//! installed [`RepairOverlay`], `margin - conformance_gap[cell] >=
+//! threshold[cell]`. The monitor's repair ladder (see [`crate::repair`])
+//! publishes the per-cell thresholds and, at tier 2, the conformance
+//! profiles behind the gap. The identity overlay (no thresholds, no
+//! projection) reduces the rule to `margin - 0.0 >= 0.0`, which is
+//! `margin >= 0.0` for every margin including −0.0 and NaN — exactly the
+//! built-in learners' `predict`. Outside a repair episode the rule costs
+//! one compare per tuple on top of the margins.
 
 use crate::engine::StreamTuple;
-use crate::monitor::CellProfiles;
-use crate::repair::RepairUpdate;
+use crate::repair::RepairOverlay;
 use crate::{Result, StreamError};
 use cf_linalg::Matrix;
 use confair_core::{Predictor, PredictorState};
 use std::borrow::Borrow;
-
-/// The scorer-side mirror of the monitor's repair state: per-cell margin
-/// cutoffs plus the optional tier-2 conformance profiles.
-#[derive(Default)]
-pub(crate) struct RepairOverlay {
-    /// Per-cell margin cutoffs; empty or all-zero means "no nudge".
-    thresholds: Vec<f64>,
-    /// Per-cell `[rejected, accepted]` conformance profiles; `Some`
-    /// installs the tier-2 margin projection.
-    projection: Option<CellProfiles>,
-}
-
-impl RepairOverlay {
-    /// Whether the overlay is the identity (scoring may take the exact
-    /// pre-ladder fast path).
-    fn is_identity(&self) -> bool {
-        self.projection.is_none() && self.thresholds.iter().all(|&t| t == 0.0)
-    }
-
-    /// The margin cutoff for `cell` (0.0 when the cell is out of range —
-    /// a tuple from a cell the monitor has no threshold for decides at
-    /// the model's native boundary).
-    fn threshold(&self, cell: u8) -> f64 {
-        self.thresholds
-            .get(usize::from(cell))
-            .copied()
-            .unwrap_or(0.0)
-    }
-
-    /// The tier-2 conformance gap for `row` in `cell`: how much worse the
-    /// row conforms to the accepted-class profile than to the
-    /// rejected-class profile. Positive gap lowers the effective margin.
-    fn conformance_gap(&self, cell: u8, row: &[f64]) -> f64 {
-        match &self.projection {
-            Some(profiles) => match profiles.get(usize::from(cell)) {
-                Some([Some(rejected), Some(accepted)]) => {
-                    accepted.violation(row) - rejected.violation(row)
-                }
-                _ => 0.0,
-            },
-            None => 0.0,
-        }
-    }
-}
 
 /// The allocation-free scoring half of a stream engine: schema, fitted
 /// predictor, and the recycled per-batch scratch buffer.
@@ -91,8 +45,8 @@ pub struct Scorer {
     /// Recycled backing buffer for the per-batch feature matrix, so the
     /// steady-state scoring path allocates nothing per tuple.
     scratch: Vec<f64>,
-    /// The installed repair overlay (identity until the monitor's ladder
-    /// publishes corrections).
+    /// The installed repair overlay (the identity until the monitor's
+    /// ladder publishes corrections).
     repair: RepairOverlay,
 }
 
@@ -113,16 +67,12 @@ impl Scorer {
     }
 
     /// Score one prevalidated micro-batch: assemble the row-major feature
-    /// matrix in the recycled scratch buffer and run the predictor's
-    /// row-matrix fast path. Callers guarantee every tuple matches the
-    /// schema width (see [`crate::engine::StreamEngine::ingest`] for the
-    /// validating entry points).
-    ///
-    /// With a live repair overlay the decision for a tuple in cell `g`
-    /// becomes `margin - conformance_gap(g) >= threshold[g]`; with the
-    /// identity overlay this is byte-identical to the plain
-    /// `predict_rows` path (for the built-in learners, `predict` is
-    /// exactly `margin >= 0.0`).
+    /// matrix in the recycled scratch buffer, take the predictor's margins
+    /// for it, and decide a tuple in cell `g` as
+    /// `margin - conformance_gap(g) >= threshold[g]`. Callers guarantee
+    /// every tuple matches the schema width (see
+    /// [`crate::engine::StreamEngine::ingest`] for the validating entry
+    /// points).
     pub fn score<T: Borrow<StreamTuple>>(&mut self, batch: &[T]) -> Result<Vec<u8>> {
         if batch.is_empty() {
             return Ok(Vec::new());
@@ -138,25 +88,19 @@ impl Scorer {
             buf.extend_from_slice(&t.borrow().features);
         }
         let x = Matrix::from_vec(batch.len(), d, buf);
-        let decisions = if self.repair.is_identity() {
-            self.predictor
-                .predict_rows(&x)
-                .map_err(StreamError::from_core)?
-        } else {
-            let margins = self
-                .predictor
-                .predict_margin_rows(&x)
-                .map_err(StreamError::from_core)?;
-            batch
-                .iter()
-                .zip(margins)
-                .map(|(t, margin)| {
-                    let t = t.borrow();
-                    let adjusted = margin - self.repair.conformance_gap(t.group, &t.features);
-                    u8::from(adjusted >= self.repair.threshold(t.group))
-                })
-                .collect()
-        };
+        let margins = self
+            .predictor
+            .predict_margin_rows(&x)
+            .map_err(StreamError::from_core)?;
+        let decisions = batch
+            .iter()
+            .zip(margins)
+            .map(|(t, margin)| {
+                let t = t.borrow();
+                let adjusted = margin - self.repair.conformance_gap(t.group, &t.features);
+                u8::from(adjusted >= self.repair.threshold(t.group))
+            })
+            .collect();
         self.scratch = x.into_vec();
         Ok(decisions)
     }
@@ -168,16 +112,15 @@ impl Scorer {
         self.predictor = predictor;
     }
 
-    /// Install the monitor's published repair state (the publication side
-    /// of a ladder step). The update carries *absolute* state, so applying
-    /// only the latest of several queued updates is correct.
-    pub fn apply_repair(&mut self, update: RepairUpdate) {
-        self.repair.thresholds = update.thresholds;
-        self.repair.projection = update.projection;
+    /// Install the monitor's published repair overlay (the publication
+    /// side of a ladder step). The overlay carries *absolute* state, so
+    /// applying only the latest of several queued overlays is correct.
+    pub fn apply_repair(&mut self, overlay: RepairOverlay) {
+        self.repair = overlay;
     }
 
-    /// The per-cell margin cutoffs currently installed (empty until a
-    /// repair update arrives).
+    /// The per-cell margin cutoffs currently installed (empty until an
+    /// overlay is applied).
     pub fn repair_thresholds(&self) -> &[f64] {
         &self.repair.thresholds
     }

@@ -167,8 +167,10 @@ pub struct StreamMetrics {
     pub alerts_total: Gauge,
     /// `cf_stream_retrains`: cumulative successful retrains.
     pub retrains_total: Gauge,
-    /// `cf_stream_retrain_duration_us`: wall-clock retrain duration
-    /// histogram (fixed log₂ buckets, 128 µs … ~4 s).
+    /// `cf_stream_retrain_duration_us`: wall-clock duration of each
+    /// ConFair-retrain repair episode — every attempt plus the backoff
+    /// sleeps between them, observed once per episode (fixed log₂
+    /// buckets, 128 µs … ~4 s).
     pub retrain_duration_us: Histogram,
     /// `cf_stream_retrain_failures_total`: failed retrain *attempts*
     /// (each retry inside a repair episode counts once).
@@ -278,7 +280,7 @@ impl StreamMetrics {
             ),
             retrain_duration_us: registry.histogram_with(
                 "cf_stream_retrain_duration_us",
-                "Wall-clock duration of retrain attempts in microseconds.",
+                "Wall-clock duration of each retrain repair episode (all attempts and backoff) in microseconds.",
                 log2_buckets(128.0, 16),
                 l,
             ),

@@ -271,6 +271,67 @@ fn monitor_death_is_supervised_and_gap_accounted() {
     assert_eq!(restarts[0].gap_tuples, anc.monitor_gap_tuples());
 }
 
+/// Batches served while the monitor is down — during a long respawn
+/// backoff, or after a push into the dead monitor's closed queue — are
+/// still served batches: the ingest counters match the scorer's clock.
+#[test]
+fn batches_served_while_the_monitor_is_down_are_metered() {
+    let reference = spec(u64::MAX).reference(600, 19);
+    let mut inner = StreamEngine::from_reference(
+        &reference,
+        LearnerKind::Logistic,
+        19,
+        config(128, RetrainPolicy::Never),
+    )
+    .unwrap();
+    inner.inject_faults(FaultPlan::new().with_monitor_panics(MonitorPanics::after(2)));
+    let mut anc = AsyncEngine::from_engine(
+        inner,
+        AsyncConfig {
+            supervisor: SupervisorConfig {
+                backoff_base_ms: 600_000,
+                backoff_max_ms: 600_000,
+                ..fast_supervisor(3)
+            },
+            ..AsyncConfig::default()
+        },
+    );
+    let registry = cf_telemetry::MetricsRegistry::new();
+    anc.install_metrics(&registry).unwrap();
+
+    let mut stream = DriftStream::new(spec(u64::MAX), 19);
+    let mut ingest = |anc: &mut AsyncEngine| {
+        let batch = StreamTuple::rows_from_dataset(&stream.next_batch(48)).unwrap();
+        assert_eq!(anc.ingest(&batch).unwrap().len(), 48);
+    };
+    // The monitor dies on its third batch; serving notices the death on
+    // a later call and parks the respawn behind the long backoff.
+    for _ in 0..3 {
+        ingest(&mut anc);
+    }
+    for _ in 0..1_000 {
+        if anc.health() == ShardHealth::Restarting {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        ingest(&mut anc);
+    }
+    assert_eq!(anc.health(), ShardHealth::Restarting);
+    for _ in 0..4 {
+        ingest(&mut anc);
+    }
+    assert_eq!(anc.health(), ShardHealth::Restarting);
+
+    let metrics = anc.metrics().unwrap();
+    assert_eq!(metrics.ingest_tuples.get(), anc.tuples_scored());
+    assert_eq!(metrics.ingest_batches.get(), anc.tuples_scored() / 48);
+    assert_eq!(metrics.ingest_latency_us.count(), anc.tuples_scored() / 48);
+    assert!(registry.render().contains(&format!(
+        "cf_stream_ingest_tuples_total {}\n",
+        anc.tuples_scored()
+    )));
+}
+
 /// Deaths beyond the restart budget are a *permanent*, typed failure:
 /// health pins to `Dead`, and every subsequent serving or barrier call
 /// reports it instead of hanging or panicking.

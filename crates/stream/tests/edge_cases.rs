@@ -185,6 +185,33 @@ fn window_smaller_than_batch_keeps_only_the_tail() {
     assert_eq!(window.labels(), &expected[..]);
 }
 
+/// The value a rendered registry reports for the unlabeled series `name`.
+fn rendered(registry: &cf_telemetry::MetricsRegistry, name: &str) -> f64 {
+    let text = registry.render();
+    let line = text
+        .lines()
+        .find(|l| l.split_whitespace().next() == Some(name))
+        .unwrap_or_else(|| panic!("{name} is not rendered"));
+    line.split_whitespace().nth(1).unwrap().parse().unwrap()
+}
+
+#[test]
+fn retrain_now_refreshes_the_monitor_gauges() {
+    let mut engine = engine(StreamConfig::default());
+    let registry = cf_telemetry::MetricsRegistry::new();
+    engine.install_metrics(&registry);
+    let mut stream = DriftStream::new(spec(), 23);
+    let batch = StreamTuple::rows_from_dataset(&stream.next_batch(1_000)).unwrap();
+    engine.ingest(&batch).unwrap();
+    engine.retrain_now().unwrap();
+    assert_eq!(engine.retrain_count(), 1);
+    assert_eq!(
+        rendered(&registry, "cf_stream_retrains"),
+        engine.retrain_count() as f64,
+        "the gauge must not wait for the next batch"
+    );
+}
+
 #[test]
 fn retrain_on_degenerate_window_is_a_clean_error() {
     let mut engine = engine(StreamConfig::default());
