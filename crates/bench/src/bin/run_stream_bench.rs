@@ -127,21 +127,34 @@ fn drive_sharded(
 /// Timed repetitions per kernel row; the row reports the fastest.
 const KERNEL_REPS: usize = 5;
 
+/// The copy of the conformance kernel `ConstraintSet::violation` runs on
+/// this host, as the kernels summary reports it.
+fn conformance_path() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "portable"
+}
+
 /// The raw kernel rows: batch margin throughput of the flattened SoA GBT
 /// traversal against its recursive reference, training rows fitted per
 /// second by the presorted GBT fit against the per-node-sort fit, of the
 /// 4-row logistic scoring tile against the per-row dot loop it replaced,
-/// of the packed
-/// conformance-violation kernel against the per-projection scalar sum,
-/// and of the symmetric exact KDE self-density pass against the per-point
-/// loop (`Kde::densities` on the training matrix) — on the same fitted
-/// models and profiles over the same pregenerated blocks, outside the
-/// engine (no window, no counters), so the rows isolate exactly what the
-/// kernel rewrites bought. Every pair is asserted bit-identical before the
-/// clock starts. Each row splits its row target over [`KERNEL_REPS`]
-/// timed repetitions and reports the fastest, so a preempted repetition
-/// cannot drag down a row — in particular `kernels/logistic_scalar`,
-/// which `check_stream_bench` divides the `single_shard/` rows by.
+/// of the packed conformance-violation kernel (its portable copy) against
+/// the per-projection scalar sum and of the run-time-dispatched copy
+/// (`ConstraintSet::violation`, AVX2 where the CPU has it) against the
+/// portable one, and of the symmetric exact KDE self-density pass against
+/// the per-point loop (`Kde::densities` on the training matrix) — on the
+/// same fitted models and profiles over the same pregenerated blocks,
+/// outside the engine (no window, no counters), so the rows isolate
+/// exactly what the kernel rewrites bought. Every pair is asserted
+/// bit-identical before the clock starts. Each row splits its row target
+/// over [`KERNEL_REPS`] timed repetitions, interleaved with those of the
+/// rows it is compared with, and reports the fastest, so a preempted
+/// repetition cannot drag down a row — in particular
+/// `kernels/logistic_scalar`, which `check_stream_bench` divides the
+/// `single_shard/` rows by.
 fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
     let block = 8_192usize;
     let gbt_d = 16;
@@ -217,9 +230,12 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
         "tiled and scalar logistic margins diverged"
     );
     assert!(
-        x_lr.iter_rows()
-            .all(|row| profile.violation(row).to_bits() == scalar_violation(row).to_bits()),
-        "packed and scalar conformance violations diverged"
+        x_lr.iter_rows().all(|row| {
+            let scalar = scalar_violation(row).to_bits();
+            profile.violation_portable(row).to_bits() == scalar
+                && profile.violation(row).to_bits() == scalar
+        }),
+        "packed, wide and scalar conformance violations diverged"
     );
     assert!(
         kde.self_densities()
@@ -230,121 +246,169 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
     );
 
     let mut configs = Vec::new();
-    let mut row = |name: &str, target: usize, pass: &mut dyn FnMut() -> usize| -> f64 {
-        pass(); // warm-up pass, inside neither clock nor count
-        let (mut rows, mut secs) = (0, f64::INFINITY);
+    // Times one group of kernels that a summary ratio compares. Each of the
+    // KERNEL_REPS repetitions runs every member in turn, so a stretch of
+    // host contention slows the whole group instead of one side of a
+    // ratio; each member reports its fastest repetition.
+    let mut rows = |target: usize, group: &mut [(&str, &mut dyn FnMut() -> usize)]| -> Vec<f64> {
+        for (_, pass) in group.iter_mut() {
+            pass(); // warm-up pass, inside neither clock nor count
+        }
+        let mut best = vec![(0usize, f64::INFINITY); group.len()];
         for _ in 0..KERNEL_REPS {
-            let mut rep_rows = 0;
-            let started = Instant::now();
-            while rep_rows < target / KERNEL_REPS {
-                rep_rows += pass();
-            }
-            let rep_secs = started.elapsed().as_secs_f64();
-            if rep_rows as f64 / rep_secs > rows as f64 / secs {
-                (rows, secs) = (rep_rows, rep_secs);
+            for ((_, pass), best) in group.iter_mut().zip(&mut best) {
+                let mut rep_rows = 0;
+                let started = Instant::now();
+                while rep_rows < target / KERNEL_REPS {
+                    rep_rows += pass();
+                }
+                let rep_secs = started.elapsed().as_secs_f64();
+                if rep_rows as f64 / rep_secs > best.0 as f64 / best.1 {
+                    *best = (rep_rows, rep_secs);
+                }
             }
         }
-        let rate = rows as f64 / secs;
-        println!(
-            "{name}: {rows} rows in {secs:.3}s = {rate:.0} rows/sec \
-             (fastest of {KERNEL_REPS})"
-        );
-        configs.push(serde_json::json!({
-            "name": name,
-            "tuples": rows,
-            "secs": secs,
-            "tuples_per_sec": rate,
-            "observability": if name.contains("kde") {
-                serde_json::json!({
-                    "block_rows": kde_n,
-                    "features": kde_d,
-                    "repetitions": KERNEL_REPS,
-                })
-            } else if name.contains("gbt_fit") {
-                serde_json::json!({
-                    "train_rows": gbt_train_rows,
-                    "features": gbt_d,
-                    "repetitions": KERNEL_REPS,
-                })
-            } else {
-                serde_json::json!({
-                    "block_rows": block,
-                    "features": if name.contains("gbt") { gbt_d } else { lr_d },
-                    "repetitions": KERNEL_REPS,
-                })
-            },
-        }));
-        rate
+        group
+            .iter()
+            .zip(best)
+            .map(|(&(name, _), (rows, secs))| {
+                let rate = rows as f64 / secs;
+                println!(
+                    "{name}: {rows} rows in {secs:.3}s = {rate:.0} rows/sec \
+                     (fastest of {KERNEL_REPS})"
+                );
+                configs.push(serde_json::json!({
+                    "name": name,
+                    "tuples": rows,
+                    "secs": secs,
+                    "tuples_per_sec": rate,
+                    "observability": if name.contains("kde") {
+                        serde_json::json!({
+                            "block_rows": kde_n,
+                            "features": kde_d,
+                            "repetitions": KERNEL_REPS,
+                        })
+                    } else if name.contains("gbt_fit") {
+                        serde_json::json!({
+                            "train_rows": gbt_train_rows,
+                            "features": gbt_d,
+                            "repetitions": KERNEL_REPS,
+                        })
+                    } else {
+                        serde_json::json!({
+                            "block_rows": block,
+                            "features": if name.contains("gbt") { gbt_d } else { lr_d },
+                            "repetitions": KERNEL_REPS,
+                        })
+                    },
+                }));
+                rate
+            })
+            .collect()
     };
 
     // The recursive GBT walker is ~µs/row; give it a smaller target so the
     // row finishes while still timing hundreds of full blocks.
     let gbt_target = if quick { 100_000 } else { 1_000_000 };
     let lr_target = if quick { 2_000_000 } else { 20_000_000 };
-    let gbt_recursive = row("kernels/gbt_recursive", gbt_target, &mut || {
-        black_box(
-            gbt.predict_margin_rows_recursive(black_box(&x_gbt))
-                .expect("margins"),
-        )
-        .len()
-    });
-    let gbt_flat = row("kernels/gbt_flat", gbt_target, &mut || {
-        black_box(gbt.predict_margin_rows(black_box(&x_gbt)).expect("margins")).len()
-    });
+    let gbt_rates = rows(
+        gbt_target,
+        &mut [
+            ("kernels/gbt_recursive", &mut || {
+                black_box(
+                    gbt.predict_margin_rows_recursive(black_box(&x_gbt))
+                        .expect("margins"),
+                )
+                .len()
+            }),
+            ("kernels/gbt_flat", &mut || {
+                black_box(gbt.predict_margin_rows(black_box(&x_gbt)).expect("margins")).len()
+            }),
+        ],
+    );
     // Each pass fits one 60-round ensemble: gbt_train_rows rows.
     let fit_target = gbt_train_rows * KERNEL_REPS * if quick { 1 } else { 2 };
-    let gbt_fit_reference = row("kernels/gbt_fit_reference", fit_target, &mut || {
-        black_box(fit_gbt(true));
-        gbt_train_rows
-    });
-    let gbt_fit_presorted = row("kernels/gbt_fit_presorted", fit_target, &mut || {
-        black_box(fit_gbt(false));
-        gbt_train_rows
-    });
-    let lr_scalar = row("kernels/logistic_scalar", lr_target, &mut || {
-        let margins: Vec<f64> = x_lr
-            .iter_rows()
-            .map(|r| vector::dot(black_box(&coef), r) + intercept)
-            .collect();
-        black_box(margins).len()
-    });
-    let lr_tiles = row("kernels/logistic_tiles", lr_target, &mut || {
-        black_box(
-            x_lr.affine_margins(black_box(&coef), intercept)
-                .expect("margins"),
-        )
-        .len()
-    });
+    let fit_rates = rows(
+        fit_target,
+        &mut [
+            ("kernels/gbt_fit_reference", &mut || {
+                black_box(fit_gbt(true));
+                gbt_train_rows
+            }),
+            ("kernels/gbt_fit_presorted", &mut || {
+                black_box(fit_gbt(false));
+                gbt_train_rows
+            }),
+        ],
+    );
+    let lr_rates = rows(
+        lr_target,
+        &mut [
+            ("kernels/logistic_scalar", &mut || {
+                let margins: Vec<f64> = x_lr
+                    .iter_rows()
+                    .map(|r| vector::dot(black_box(&coef), r) + intercept)
+                    .collect();
+                black_box(margins).len()
+            }),
+            ("kernels/logistic_tiles", &mut || {
+                black_box(
+                    x_lr.affine_margins(black_box(&coef), intercept)
+                        .expect("margins"),
+                )
+                .len()
+            }),
+        ],
+    );
 
     let cc_target = if quick { 200_000 } else { 2_000_000 };
-    let cc_scalar = row("kernels/conformance_scalar", cc_target, &mut || {
-        let violations: Vec<f64> = x_lr.iter_rows().map(&scalar_violation).collect();
-        black_box(violations).len()
-    });
-    let cc_packed = row("kernels/conformance_packed", cc_target, &mut || {
-        let violations: Vec<f64> = x_lr
-            .iter_rows()
-            .map(|r| black_box(&profile).violation(r))
-            .collect();
-        black_box(violations).len()
-    });
+    let cc_rates = rows(
+        cc_target,
+        &mut [
+            ("kernels/conformance_scalar", &mut || {
+                let violations: Vec<f64> = x_lr.iter_rows().map(&scalar_violation).collect();
+                black_box(violations).len()
+            }),
+            ("kernels/conformance_packed", &mut || {
+                let violations: Vec<f64> = x_lr
+                    .iter_rows()
+                    .map(|r| black_box(&profile).violation_portable(r))
+                    .collect();
+                black_box(violations).len()
+            }),
+            ("kernels/conformance_wide", &mut || {
+                let violations: Vec<f64> = x_lr
+                    .iter_rows()
+                    .map(|r| black_box(&profile).violation(r))
+                    .collect();
+                black_box(violations).len()
+            }),
+        ],
+    );
 
     // Each pass ranks one cell: kde_n self-densities.
     let kde_target = if quick { 50 * kde_n } else { 500 * kde_n };
-    let kde_pointwise = row("kernels/kde_self_pointwise", kde_target, &mut || {
-        black_box(kde.densities(black_box(&x_kde))).len()
-    });
-    let kde_symmetric = row("kernels/kde_self_symmetric", kde_target, &mut || {
-        black_box(black_box(&kde).self_densities()).len()
-    });
+    let kde_rates = rows(
+        kde_target,
+        &mut [
+            ("kernels/kde_self_pointwise", &mut || {
+                black_box(kde.densities(black_box(&x_kde))).len()
+            }),
+            ("kernels/kde_self_symmetric", &mut || {
+                black_box(black_box(&kde).self_densities()).len()
+            }),
+        ],
+    );
 
     let summary = serde_json::json!({
         "workload": format!("raw batch margins, block={block}, gbt d={gbt_d} (60 trees, depth<=4), logistic d={lr_d}; gbt fits, {gbt_train_rows} rows; conformance violations, d={lr_d}, m={profile_m}; exact KDE self-densities, n={kde_n}, d={kde_d}"),
-        "gbt_flat_vs_recursive": gbt_flat / gbt_recursive,
-        "gbt_fit_presorted_vs_reference": gbt_fit_presorted / gbt_fit_reference,
-        "logistic_tiles_vs_scalar": lr_tiles / lr_scalar,
-        "conformance_packed_vs_scalar": cc_packed / cc_scalar,
-        "kde_symmetric_vs_pointwise": kde_symmetric / kde_pointwise,
+        "gbt_flat_vs_recursive": gbt_rates[1] / gbt_rates[0],
+        "gbt_fit_presorted_vs_reference": fit_rates[1] / fit_rates[0],
+        "logistic_tiles_vs_scalar": lr_rates[1] / lr_rates[0],
+        "conformance_packed_vs_scalar": cc_rates[1] / cc_rates[0],
+        "conformance_wide_vs_packed": cc_rates[2] / cc_rates[1],
+        "conformance_path": conformance_path(),
+        "kde_symmetric_vs_pointwise": kde_rates[1] / kde_rates[0],
     });
     (configs, summary)
 }

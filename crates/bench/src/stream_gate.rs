@@ -30,11 +30,14 @@ use serde_json::Value;
 pub const HOST_PROBE: &str = "kernels/logistic_scalar";
 
 /// Same-run `kernels.<key>` ratios and the floor each must reach: the
-/// packed conformance kernel must beat the scalar sum it replaced, the
+/// packed conformance kernel must beat the scalar sum it replaced, its
+/// run-time-dispatched copy must keep a clear lead over the portable one
+/// (an AVX2 host is assumed; elsewhere both rows time the same code), the
 /// symmetric exact KDE pass must keep most of its halved `exp` count, and
 /// the presorted GBT fit must keep a clear lead over per-node sorting.
-pub const KERNEL_GATES: [(&str, f64); 3] = [
+pub const KERNEL_GATES: [(&str, f64); 4] = [
     ("conformance_packed_vs_scalar", 1.0),
+    ("conformance_wide_vs_packed", 1.2),
     ("kde_symmetric_vs_pointwise", 1.4),
     ("gbt_fit_presorted_vs_reference", 1.5),
 ];

@@ -133,3 +133,21 @@ fn gbt_fit_ratio_below_floor_or_missing_fails() {
     set_kernel_ratio(&mut current, key, Some(1.5));
     assert_eq!(failures(&current), Vec::<String>::new());
 }
+
+#[test]
+fn conformance_wide_ratio_below_floor_or_missing_fails() {
+    let key = "conformance_wide_vs_packed";
+    let mut current = committed();
+    set_kernel_ratio(&mut current, key, Some(1.1));
+    assert_eq!(
+        failures(&current),
+        vec![format!("kernels.{key} = 1.10 < 1.2")]
+    );
+    set_kernel_ratio(&mut current, key, None);
+    assert_eq!(
+        failures(&current),
+        vec![format!("current: no `kernels.{key}` ratio")]
+    );
+    set_kernel_ratio(&mut current, key, Some(1.2));
+    assert_eq!(failures(&current), Vec::<String>::new());
+}

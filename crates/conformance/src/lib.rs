@@ -24,6 +24,8 @@
 //!   the min-violation used by DiffFair's `PREDICT`).
 //! * [`learn`] — discovery from a data matrix.
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod learn;
 pub mod projection;
 pub mod set;

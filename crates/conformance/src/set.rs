@@ -62,6 +62,15 @@ impl Packed {
     /// accumulators are independent chains the autovectoriser keeps in
     /// registers. Zero coefficients are multiplied through, so IEEE
     /// propagation (0 × inf = NaN) matches the scalar path.
+    ///
+    /// The body is compiled twice: once for the build target (2-lane SSE2
+    /// on default x86-64) and once inside [`Packed::violation_avx2`], where
+    /// the same lanes become 4-wide. Neither copy enables `fma`: rustc never
+    /// contracts `c * x + a` into a fused multiply-add by itself, so both
+    /// round every product and every sum in the same order and agree to the
+    /// bit. One tiling serves both copies: a 32-wide tile made the AVX2
+    /// copy only ~5% faster and would spill the portable copy's 16 SSE
+    /// registers.
     #[inline(always)]
     fn fold_tile<const W: usize>(&self, t: &[f64], j: usize, mut total: f64) -> f64 {
         let m = self.q.len();
@@ -83,6 +92,37 @@ impl Packed {
             total += self.q[i] * v;
         }
         total
+    }
+
+    /// `⟦Φ⟧(t)` over register tiles of 16, then 8, then 1 projections.
+    #[inline(always)]
+    fn violation(&self, t: &[f64]) -> f64 {
+        let m = self.q.len();
+        debug_assert_eq!(t.len() * m, self.coeffs_t.len());
+        // `Iterator::sum`'s starting value, so a set whose every term is
+        // -0.0 sums to the same bits as the scalar fold.
+        let mut total = -0.0;
+        let mut j = 0;
+        while j + 16 <= m {
+            total = self.fold_tile::<16>(t, j, total);
+            j += 16;
+        }
+        while j + 8 <= m {
+            total = self.fold_tile::<8>(t, j, total);
+            j += 8;
+        }
+        while j < m {
+            total = self.fold_tile::<1>(t, j, total);
+            j += 1;
+        }
+        total
+    }
+
+    /// [`Packed::violation`] compiled with AVX2 enabled.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn violation_avx2(&self, t: &[f64]) -> f64 {
+        self.violation(t)
     }
 }
 
@@ -141,27 +181,29 @@ impl ConstraintSet {
     /// Runs over the packed layout in register tiles of 16, then 8, then 1
     /// projections, and is bit-identical to
     /// `Σ p.importance * p.violation(t)` summed in projection order.
+    ///
+    /// On an x86-64 CPU with AVX2 the same tiling runs as a copy compiled
+    /// for AVX2, chosen at run time (the feature probe is cached by `std`
+    /// after the first call); elsewhere it runs
+    /// [`ConstraintSet::violation_portable`]. The AVX2 copy enables no
+    /// `fma`, so both paths return the same bits.
     pub fn violation(&self, t: &[f64]) -> f64 {
-        let p = &self.packed;
-        let m = p.q.len();
-        debug_assert_eq!(t.len() * m, p.coeffs_t.len());
-        // `Iterator::sum`'s starting value, so a set whose every term is
-        // -0.0 sums to the same bits as the scalar fold.
-        let mut total = -0.0;
-        let mut j = 0;
-        while j + 16 <= m {
-            total = p.fold_tile::<16>(t, j, total);
-            j += 16;
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: `violation_avx2` only requires AVX2, and
+            // `is_x86_feature_detected!` just confirmed this CPU has it.
+            return unsafe { self.packed.violation_avx2(t) };
         }
-        while j + 8 <= m {
-            total = p.fold_tile::<8>(t, j, total);
-            j += 8;
-        }
-        while j < m {
-            total = p.fold_tile::<1>(t, j, total);
-            j += 1;
-        }
-        total
+        self.violation_portable(t)
+    }
+
+    /// [`ConstraintSet::violation`] on the build target's baseline
+    /// instruction set, whatever the CPU supports. Public so tests and
+    /// benches can pin the fallback path on a host that would dispatch
+    /// past it.
+    #[doc(hidden)]
+    pub fn violation_portable(&self, t: &[f64]) -> f64 {
+        self.packed.violation(t)
     }
 
     /// Boolean semantics: `Φ(t) = 1` iff every conjunct holds.

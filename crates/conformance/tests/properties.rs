@@ -213,13 +213,22 @@ proptest! {
                     }
                 }
             }
-            let packed = set.violation(&t);
+            // `violation` dispatches (to the AVX2 copy on an AVX2 host), so
+            // the portable fallback is pinned separately.
             let scalar = scalar_violation(&set, &t);
+            let portable = set.violation_portable(&t);
+            let dispatched = set.violation(&t);
             prop_assert_eq!(
-                packed.to_bits(),
+                portable.to_bits(),
                 scalar.to_bits(),
-                "d={} m={} builder={} t={:?}: {} vs {}",
-                d, set.len(), builder, t, packed, scalar
+                "portable: d={} m={} builder={} t={:?}: {} vs {}",
+                d, set.len(), builder, t, portable, scalar
+            );
+            prop_assert_eq!(
+                dispatched.to_bits(),
+                scalar.to_bits(),
+                "dispatched: d={} m={} builder={} t={:?}: {} vs {}",
+                d, set.len(), builder, t, dispatched, scalar
             );
         }
     }

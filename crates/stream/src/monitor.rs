@@ -676,9 +676,6 @@ impl Monitor {
                 Ok(predictor) => break Ok(predictor),
                 Err(e) => e,
             };
-            if let Some(m) = &self.metrics {
-                m.retrain_failures_total.inc();
-            }
             let out_of_budget =
                 attempts >= u64::from(repair.attempts()) || started.elapsed() >= repair.timeout();
             if out_of_budget {
@@ -716,11 +713,18 @@ impl Monitor {
 
     /// One attempt of the retraining hook with any panic inside it
     /// contained and surfaced as [`StreamError::RetrainPanicked`]. Emits
-    /// no trail events of its own.
+    /// no trail events of its own; a failure counts in
+    /// `cf_stream_retrain_failures_total`, whether an episode or
+    /// `StreamEngine::retrain_now` made the attempt.
     pub(crate) fn retrain_attempt(&mut self) -> Result<Box<dyn Predictor>> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.retrain())).unwrap_or_else(
-            |payload| Err(StreamError::RetrainPanicked(panic_text(payload.as_ref()))),
-        )
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.retrain()))
+            .unwrap_or_else(|payload| {
+                Err(StreamError::RetrainPanicked(panic_text(payload.as_ref())))
+            });
+        if let (Err(_), Some(m)) = (&outcome, &self.metrics) {
+            m.retrain_failures_total.inc();
+        }
+        outcome
     }
 
     /// One batch of the repair-escalation ladder (see [`crate::repair`]):

@@ -173,7 +173,8 @@ pub struct StreamMetrics {
     /// buckets, 128 µs … ~4 s).
     pub retrain_duration_us: Histogram,
     /// `cf_stream_retrain_failures_total`: failed retrain *attempts*
-    /// (each retry inside a repair episode counts once).
+    /// (each retry inside a repair episode counts once, as does each
+    /// failed `StreamEngine::retrain_now`).
     pub retrain_failures_total: Counter,
     /// `cf_stream_degraded`: 1 while the engine serves in degraded mode
     /// (repair budget exhausted, stale model still serving), else 0.

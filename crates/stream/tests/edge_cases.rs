@@ -227,6 +227,23 @@ fn retrain_on_degenerate_window_is_a_clean_error() {
 }
 
 #[test]
+fn failed_retrain_now_counts_a_retrain_failure() {
+    let mut engine = engine(StreamConfig::default());
+    let registry = cf_telemetry::MetricsRegistry::new();
+    engine.install_metrics(&registry);
+    let mut stream = DriftStream::new(spec(), 19);
+    let all = StreamTuple::rows_from_dataset(&stream.next_batch(400)).unwrap();
+    let positives_only: Vec<StreamTuple> = all.into_iter().filter(|t| t.label == Some(1)).collect();
+    engine.ingest(&positives_only).unwrap();
+    assert!(engine.retrain_now().is_err());
+    assert_eq!(
+        rendered(&registry, "cf_stream_retrain_failures_total"),
+        1.0,
+        "a failed manual retrain is a failed retrain attempt"
+    );
+}
+
+#[test]
 fn schema_mismatch_is_rejected() {
     let mut engine = engine(StreamConfig::default());
     let bad = StreamTuple {
