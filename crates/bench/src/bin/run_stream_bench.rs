@@ -17,10 +17,11 @@ use cf_bench::stream_load::{
     pregenerate, pregenerate_delayed, pregenerate_from, pregenerate_kary, pregenerate_sharded,
 };
 use cf_conformance::{learn_constraints, LearnOptions};
+use cf_data::{Column, Dataset, FeatureEncoding};
 use cf_datasets::stream::DriftStream;
 use cf_density::Kde;
 use cf_learners::{Gbt, GbtConfig, Learner, LogisticRegression};
-use cf_linalg::vector;
+use cf_linalg::{vector, Matrix};
 use cf_stream::{
     AsyncConfig, AsyncEngine, GroupLayout, RetrainPolicy, ShardedEngine, ShardedTuple,
     StreamEngine, StreamTuple,
@@ -141,11 +142,13 @@ fn conformance_path() -> &'static str {
 /// traversal against its recursive reference, training rows fitted per
 /// second by the presorted GBT fit against the per-node-sort fit, of the
 /// 4-row logistic scoring tile against the per-row dot loop it replaced,
-/// of the packed conformance-violation kernel (its portable copy) against
-/// the per-projection scalar sum and of the run-time-dispatched copy
-/// (`ConstraintSet::violation`, AVX2 where the CPU has it) against the
-/// portable one, and of the symmetric exact KDE self-density pass against
-/// the per-point loop (`Kde::densities` on the training matrix) — on the
+/// of the in-place min-max encode (after copying each raw 1,024-row batch,
+/// as the scorer's gather does) against the allocating `transform_rows`
+/// it is specified by, of the packed conformance-violation kernel (its
+/// portable copy) against the per-projection scalar sum and of the
+/// run-time-dispatched copy (`ConstraintSet::violation`, AVX2 where the
+/// CPU has it) against the portable one, and of the symmetric exact KDE
+/// self-density pass against the per-point loop (`Kde::densities` on the training matrix) — on the
 /// same fitted models and profiles over the same pregenerated blocks,
 /// outside the engine (no window, no counters), so the rows isolate
 /// exactly what the kernel rewrites bought. Every pair is asserted
@@ -173,6 +176,28 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
     // probed with the logistic block: same geometry, mostly conforming.
     let profile = learn_constraints(&x_train, &LearnOptions::default());
     let profile_m = profile.len();
+    // The min-max encoding a d=32 logistic engine scores through, fitted
+    // on the same training rows.
+    let encoding = FeatureEncoding::fit(
+        &Dataset::new(
+            "kernels",
+            (0..lr_d).map(|j| format!("x{j}")).collect(),
+            (0..lr_d).map(|j| Column::Numeric(x_train.col(j))).collect(),
+            vec![0; x_train.rows()],
+            vec![0; x_train.rows()],
+        )
+        .expect("numeric training rows"),
+    );
+    // The logistic block in scorer-sized batches (streambench's d=32
+    // workload serves 1,024 tuples a call), and one batch of scratch.
+    let encode_batch = 1_024;
+    let lr_batches: Vec<Matrix> = (0..block / encode_batch)
+        .map(|b| {
+            let rows: Vec<usize> = (b * encode_batch..(b + 1) * encode_batch).collect();
+            x_lr.select_rows(&rows)
+        })
+        .collect();
+    let mut encode_scratch = Matrix::zeros(encode_batch, lr_d);
     let scalar_violation = |row: &[f64]| -> f64 {
         profile
             .projections()
@@ -238,6 +263,21 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
         "packed, wide and scalar conformance violations diverged"
     );
     assert!(
+        lr_batches.iter().all(|batch| {
+            let mut in_place = batch.clone();
+            encoding
+                .transform_rows_in_place(&mut in_place)
+                .expect("numeric encoding");
+            let spec = encoding.transform_rows(batch).expect("numeric encoding");
+            in_place
+                .as_slice()
+                .iter()
+                .zip(spec.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+        }),
+        "in-place and allocating feature encodings diverged"
+    );
+    assert!(
         kde.self_densities()
             .iter()
             .zip(&kde.densities(&x_kde))
@@ -292,6 +332,13 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
                         serde_json::json!({
                             "train_rows": gbt_train_rows,
                             "features": gbt_d,
+                            "repetitions": KERNEL_REPS,
+                        })
+                    } else if name.contains("encode") {
+                        serde_json::json!({
+                            "block_rows": block,
+                            "batch_rows": encode_batch,
+                            "features": lr_d,
                             "repetitions": KERNEL_REPS,
                         })
                     } else {
@@ -361,6 +408,37 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
         ],
     );
 
+    // The in-place row pays for copying each raw batch into its scratch
+    // matrix first, as the scorer's gather does before it encodes.
+    let encode_rates = rows(
+        lr_target,
+        &mut [
+            ("kernels/encode_rows", &mut || {
+                lr_batches
+                    .iter()
+                    .map(|batch| {
+                        black_box(encoding.transform_rows(black_box(batch)).expect("encoding"))
+                            .rows()
+                    })
+                    .sum()
+            }),
+            ("kernels/encode_in_place", &mut || {
+                lr_batches
+                    .iter()
+                    .map(|batch| {
+                        encode_scratch
+                            .as_mut_slice()
+                            .copy_from_slice(black_box(batch).as_slice());
+                        encoding
+                            .transform_rows_in_place(black_box(&mut encode_scratch))
+                            .expect("encoding");
+                        encode_scratch.rows()
+                    })
+                    .sum()
+            }),
+        ],
+    );
+
     let cc_target = if quick { 200_000 } else { 2_000_000 };
     let cc_rates = rows(
         cc_target,
@@ -401,10 +479,11 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
     );
 
     let summary = serde_json::json!({
-        "workload": format!("raw batch margins, block={block}, gbt d={gbt_d} (60 trees, depth<=4), logistic d={lr_d}; gbt fits, {gbt_train_rows} rows; conformance violations, d={lr_d}, m={profile_m}; exact KDE self-densities, n={kde_n}, d={kde_d}"),
+        "workload": format!("raw batch margins, block={block}, gbt d={gbt_d} (60 trees, depth<=4), logistic d={lr_d}; min-max encodes, d={lr_d} in batches of {encode_batch}; gbt fits, {gbt_train_rows} rows; conformance violations, d={lr_d}, m={profile_m}; exact KDE self-densities, n={kde_n}, d={kde_d}"),
         "gbt_flat_vs_recursive": gbt_rates[1] / gbt_rates[0],
         "gbt_fit_presorted_vs_reference": fit_rates[1] / fit_rates[0],
         "logistic_tiles_vs_scalar": lr_rates[1] / lr_rates[0],
+        "encode_in_place_vs_rows": encode_rates[1] / encode_rates[0],
         "conformance_packed_vs_scalar": cc_rates[1] / cc_rates[0],
         "conformance_wide_vs_packed": cc_rates[2] / cc_rates[1],
         "conformance_path": conformance_path(),

@@ -33,11 +33,15 @@ pub const HOST_PROBE: &str = "kernels/logistic_scalar";
 /// packed conformance kernel must beat the scalar sum it replaced, its
 /// run-time-dispatched copy must keep a clear lead over the portable one
 /// (an AVX2 host is assumed; elsewhere both rows time the same code), the
-/// symmetric exact KDE pass must keep most of its halved `exp` count, and
-/// the presorted GBT fit must keep a clear lead over per-node sorting.
-pub const KERNEL_GATES: [(&str, f64); 4] = [
+/// in-place min-max encode must keep a clear lead over the allocating
+/// `transform_rows` even after paying for the gather's copy (a branchy
+/// in-place loop reads below 1.0), the symmetric exact KDE pass must keep
+/// most of its halved `exp` count, and the presorted GBT fit must keep a
+/// clear lead over per-node sorting.
+pub const KERNEL_GATES: [(&str, f64); 5] = [
     ("conformance_packed_vs_scalar", 1.0),
     ("conformance_wide_vs_packed", 1.2),
+    ("encode_in_place_vs_rows", 1.1),
     ("kde_symmetric_vs_pointwise", 1.4),
     ("gbt_fit_presorted_vs_reference", 1.5),
 ];

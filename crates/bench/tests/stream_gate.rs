@@ -151,3 +151,21 @@ fn conformance_wide_ratio_below_floor_or_missing_fails() {
     set_kernel_ratio(&mut current, key, Some(1.2));
     assert_eq!(failures(&current), Vec::<String>::new());
 }
+
+#[test]
+fn encode_ratio_below_floor_or_missing_fails() {
+    let key = "encode_in_place_vs_rows";
+    let mut current = committed();
+    set_kernel_ratio(&mut current, key, Some(0.9));
+    assert_eq!(
+        failures(&current),
+        vec![format!("kernels.{key} = 0.90 < 1.1")]
+    );
+    set_kernel_ratio(&mut current, key, None);
+    assert_eq!(
+        failures(&current),
+        vec![format!("current: no `kernels.{key}` ratio")]
+    );
+    set_kernel_ratio(&mut current, key, Some(1.1));
+    assert_eq!(failures(&current), Vec::<String>::new());
+}

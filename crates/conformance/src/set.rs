@@ -31,6 +31,9 @@ struct Packed {
     /// `σᵢ.max(MIN_SIGMA)`, the divisor `Projection::violation` uses.
     sigma: Vec<f64>,
     q: Vec<f64>,
+    /// The fold's starting value: `-0.0` when every importance is `-0.0`,
+    /// `+0.0` otherwise (see [`Packed::fold_tile`]).
+    zero: f64,
 }
 
 impl Packed {
@@ -44,24 +47,43 @@ impl Packed {
                 coeffs_t[k * m + i] = c;
             }
         }
+        let q: Vec<f64> = projections.iter().map(|p| p.importance).collect();
+        let zero = if q.iter().all(|q| q.to_bits() == (-0.0f64).to_bits()) {
+            -0.0
+        } else {
+            0.0
+        };
         Self {
             coeffs_t,
             lb: projections.iter().map(|p| p.lb).collect(),
             ub: projections.iter().map(|p| p.ub).collect(),
             sigma: projections.iter().map(Projection::sigma).collect(),
-            q: projections.iter().map(|p| p.importance).collect(),
+            q,
+            zero,
         }
     }
 
-    /// Evaluate the `W` projections `j..j + W` on `t` and fold their
-    /// weighted violations into `total`, in projection order.
+    /// Evaluate the `W` projections `j..j + W` on `t` and fold the weighted
+    /// violations of those that violate into `total`, in projection order.
     ///
     /// Each projection accumulates k-ascending from `-0.0` in its own lane —
     /// the exact operation sequence of `vector::dot`'s `Iterator::sum`, so
     /// `Fᵢ(t)` is bit-identical to `Projection::project` — and the `[f64; W]`
     /// accumulators are independent chains the autovectoriser keeps in
     /// registers. Zero coefficients are multiplied through, so IEEE
-    /// propagation (0 × inf = NaN) matches the scalar path.
+    /// propagation (0 × inf = NaN) matches the scalar path. The W distances
+    /// are computed lane-wise too, and the tile branches once on whether any
+    /// of them is non-zero.
+    ///
+    /// Only violated projections are folded. A conforming projection's term
+    /// is `qᵢ·0.0`, a signed zero because every `qᵢ` is finite (both
+    /// constructors reject the rest), and no term is negative. So the
+    /// in-order sum over all m terms, started from `-0.0`, only ever adds a
+    /// skipped zero to a zero (where it can decide the sign) or to a
+    /// positive total or NaN (which it leaves unchanged). Starting from
+    /// [`Packed::zero`] instead settles that sign at pack time: the full
+    /// sum is `-0.0` only when every term is, which is when every `qᵢ` is
+    /// `-0.0`.
     ///
     /// The body is compiled twice: once for the build target (2-lane SSE2
     /// on default x86-64) and once inside [`Packed::violation_avx2`], where
@@ -81,15 +103,22 @@ impl Packed {
                 *a += c * x;
             }
         }
-        for (i, f) in (j..j + W).zip(acc) {
-            // `Projection::distance` and `Projection::violation`, verbatim.
-            let dist = (f - self.ub[i]).max(self.lb[i] - f).max(0.0);
-            let v = if dist == 0.0 {
-                0.0
-            } else {
-                1.0 - (-dist / self.sigma[i]).exp()
-            };
-            total += self.q[i] * v;
+        let lb: &[f64; W] = self.lb[j..j + W].try_into().expect("tile inside lb");
+        let ub: &[f64; W] = self.ub[j..j + W].try_into().expect("tile inside ub");
+        let mut dist = [0.0f64; W];
+        let mut any = false;
+        for (((d, f), &lb), &ub) in dist.iter_mut().zip(acc).zip(lb).zip(ub) {
+            // `Projection::distance`, verbatim.
+            *d = (f - ub).max(lb - f).max(0.0);
+            any |= *d != 0.0;
+        }
+        if any {
+            for (i, d) in (j..j + W).zip(dist) {
+                // `Projection::violation` where it is non-zero.
+                if d != 0.0 {
+                    total += self.q[i] * (1.0 - (-d / self.sigma[i]).exp());
+                }
+            }
         }
         total
     }
@@ -99,9 +128,7 @@ impl Packed {
     fn violation(&self, t: &[f64]) -> f64 {
         let m = self.q.len();
         debug_assert_eq!(t.len() * m, self.coeffs_t.len());
-        // `Iterator::sum`'s starting value, so a set whose every term is
-        // -0.0 sums to the same bits as the scalar fold.
-        let mut total = -0.0;
+        let mut total = self.zero;
         let mut j = 0;
         while j + 16 <= m {
             total = self.fold_tile::<16>(t, j, total);
@@ -137,15 +164,23 @@ impl ConstraintSet {
     ///
     /// # Panics
     /// Panics if `projections` is empty, if their coefficient vectors are
-    /// empty or differ in width, or if importances are all non-positive.
+    /// empty or differ in width, if any importance is not finite, or if
+    /// importances are all non-positive or sum past `f64::MAX`.
     pub fn new(mut projections: Vec<Projection>) -> Self {
         assert!(!projections.is_empty(), "a constraint set cannot be empty");
         assert!(
             uniform_width(&projections),
             "projections must share one non-zero width"
         );
+        assert!(
+            projections.iter().all(|p| p.importance.is_finite()),
+            "importance weights must be finite"
+        );
         let total: f64 = projections.iter().map(|p| p.importance.max(0.0)).sum();
-        assert!(total > 0.0, "importance weights must have positive mass");
+        assert!(
+            total > 0.0 && total.is_finite(),
+            "importance weights must have positive, finite mass"
+        );
         for p in &mut projections {
             p.importance = p.importance.max(0.0) / total;
         }
@@ -179,8 +214,10 @@ impl ConstraintSet {
     /// Quantitative violation `⟦Φ⟧(t) ∈ [0, 1]` (paper Eq. 1).
     ///
     /// Runs over the packed layout in register tiles of 16, then 8, then 1
-    /// projections, and is bit-identical to
-    /// `Σ p.importance * p.violation(t)` summed in projection order.
+    /// projections, folds only the terms of the projections `t` violates
+    /// (a conforming term is `±0.0`, so skipping it is exact), and is
+    /// bit-identical to `Σ p.importance * p.violation(t)` summed in
+    /// projection order.
     ///
     /// On an x86-64 CPU with AVX2 the same tiling runs as a copy compiled
     /// for AVX2, chosen at run time (the feature probe is cached by `std`
@@ -290,12 +327,14 @@ impl serde::Deserialize for ConstraintSet {
                 "constraint projections must share one non-zero width",
             ));
         }
+        // A non-finite weight would turn every violation into NaN, which
+        // no threshold comparison ever flags.
         if projections
             .iter()
-            .any(|p| p.importance.is_nan() || p.importance < 0.0)
+            .any(|p| !p.importance.is_finite() || p.importance < 0.0)
         {
             return Err(serde::Error::msg(
-                "constraint importances must be non-negative",
+                "constraint importances must be finite and non-negative",
             ));
         }
         Ok(ConstraintSet::from_projections(projections))
@@ -451,6 +490,31 @@ mod tests {
         let _ = ConstraintSet::new(vec![
             proj(vec![1.0, 0.0], 0.0, 1.0, 0.1, 1.0),
             proj(vec![1.0], 0.0, 1.0, 0.1, 1.0),
+        ]);
+    }
+
+    #[test]
+    fn non_finite_importances_are_rejected_by_both_constructors() {
+        use serde::{Deserialize, Serialize};
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let projections = vec![
+                proj(vec![1.0, 0.0], 0.0, 1.0, 0.1, 1.0),
+                proj(vec![0.0, 1.0], 0.0, 1.0, 0.1, bad),
+            ];
+            let built = std::panic::catch_unwind(|| ConstraintSet::new(projections.clone()));
+            assert!(built.is_err(), "new accepted importance {bad}");
+            let doc = serde::Value::Object(vec![("projections".into(), projections.to_value())]);
+            let err = ConstraintSet::from_value(&doc).unwrap_err();
+            assert!(err.to_string().contains("finite"), "{bad}: got {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "positive, finite mass")]
+    fn overflowing_importance_mass_rejected() {
+        let _ = ConstraintSet::new(vec![
+            proj(vec![1.0], 0.0, 1.0, 0.1, f64::MAX),
+            proj(vec![1.0], 0.0, 1.0, 0.1, f64::MAX),
         ]);
     }
 

@@ -122,11 +122,73 @@ fn random_matrix(rng: &mut StdRng, n: usize, d: usize, half_width: f64) -> Matri
     Matrix::from_vec(n, d, data)
 }
 
+/// How [`arbitrary_set`] draws its importances.
+#[derive(Clone, Copy, Debug)]
+enum Weights {
+    /// Mostly positive, with `+0.0` and `-0.0` mixed in.
+    Mixed,
+    /// Every weight `-0.0`, so every term is too: the fold's starting
+    /// value decides the sign of the total.
+    AllNegativeZero,
+    /// Only `+0.0` and `-0.0`: violated terms are signed zeros, and the
+    /// total's sign depends on which zeros the fold sees.
+    SignedZeros,
+}
+
+const WEIGHTS: [Weights; 3] = [
+    Weights::Mixed,
+    Weights::AllNegativeZero,
+    Weights::SignedZeros,
+];
+
+/// `m` arbitrary projections of width `d` through `Deserialize::from_value`,
+/// so the weights stay as drawn: σ = 0 and σ = +∞ included, bounds around
+/// 0 (so the zero vector conforms to every projection).
+fn arbitrary_set(d: usize, m: usize, weights: Weights, rng: &mut StdRng) -> ConstraintSet {
+    let projections: Vec<Projection> = (0..m)
+        .map(|_| Projection {
+            coeffs: (0..d)
+                .map(|_| {
+                    if rng.gen_bool(0.1) {
+                        0.0
+                    } else {
+                        rng.gen_range(-2.0..2.0)
+                    }
+                })
+                .collect(),
+            lb: rng.gen_range(-40.0..0.0),
+            ub: rng.gen_range(0.0..40.0),
+            std: match rng.gen_range(0u8..10) {
+                0 | 1 => 0.0,
+                2 => f64::INFINITY,
+                _ => rng.gen_range(0.01..5.0),
+            },
+            importance: match (weights, rng.gen_range(0u8..4)) {
+                (Weights::AllNegativeZero, _) => -0.0,
+                (Weights::SignedZeros, k) => {
+                    if k % 2 == 0 {
+                        0.0
+                    } else {
+                        -0.0
+                    }
+                }
+                (Weights::Mixed, 0) => 0.0,
+                (Weights::Mixed, 1) => -0.0,
+                (Weights::Mixed, _) => rng.gen_range(0.0..1.0),
+            },
+        })
+        .collect();
+    let doc = serde::Value::Object(vec![(
+        "projections".into(),
+        serde::Serialize::to_value(&projections),
+    )]);
+    <ConstraintSet as serde::Deserialize>::from_value(&doc).expect("well-formed set")
+}
+
 /// One constraint set of width `d`, built the way `builder` selects:
 /// 0 = `learn_constraints` (with `m < d` projections half the time),
-/// 1 = `Deserialize::from_value` of arbitrary projections (σ = 0 and zero
-/// importances included), 2 = `learn_constraints` then `recompute_stds`.
-/// Returns the set and the rows it was profiled on.
+/// 1 = [`arbitrary_set`] with 1–40 projections, 2 = `learn_constraints`
+/// then `recompute_stds`. Returns the set and the rows it was profiled on.
 fn build_set(d: usize, builder: u8, rng: &mut StdRng) -> (ConstraintSet, Matrix) {
     let n = d + rng.gen_range(2usize..12);
     let x = random_matrix(rng, n, d, 50.0);
@@ -143,40 +205,8 @@ fn build_set(d: usize, builder: u8, rng: &mut StdRng) -> (ConstraintSet, Matrix)
         0 => learn_constraints(&x, &opts),
         1 => {
             let m = rng.gen_range(1usize..=40);
-            // Sometimes every weight is -0.0, so every term is too: the
-            // fold's starting value decides the sign of the total.
-            let all_negative_zero = rng.gen_bool(0.1);
-            let projections: Vec<Projection> = (0..m)
-                .map(|_| Projection {
-                    coeffs: (0..d)
-                        .map(|_| {
-                            if rng.gen_bool(0.1) {
-                                0.0
-                            } else {
-                                rng.gen_range(-2.0..2.0)
-                            }
-                        })
-                        .collect(),
-                    lb: rng.gen_range(-40.0..0.0),
-                    ub: rng.gen_range(0.0..40.0),
-                    std: if rng.gen_bool(0.2) {
-                        0.0
-                    } else {
-                        rng.gen_range(0.01..5.0)
-                    },
-                    importance: match rng.gen_range(0u8..4) {
-                        _ if all_negative_zero => -0.0,
-                        0 => 0.0,
-                        1 => -0.0,
-                        _ => rng.gen_range(0.0..1.0),
-                    },
-                })
-                .collect();
-            let doc = serde::Value::Object(vec![(
-                "projections".into(),
-                serde::Serialize::to_value(&projections),
-            )]);
-            <ConstraintSet as serde::Deserialize>::from_value(&doc).expect("well-formed set")
+            let weights = WEIGHTS[rng.gen_range(0..WEIGHTS.len())];
+            arbitrary_set(d, m, weights, rng)
         }
         _ => {
             let mut set = learn_constraints(&x, &opts);
@@ -185,6 +215,37 @@ fn build_set(d: usize, builder: u8, rng: &mut StdRng) -> (ConstraintSet, Matrix)
         }
     };
     (set, x)
+}
+
+/// Assert the portable and the dispatched kernel both return the scalar
+/// reference's bits for `set` at `t`.
+fn assert_paths_agree(set: &ConstraintSet, t: &[f64], what: &str) -> Result<(), TestCaseError> {
+    // `violation` dispatches (to the AVX2 copy on an AVX2 host), so the
+    // portable fallback is pinned separately.
+    let scalar = scalar_violation(set, t);
+    let portable = set.violation_portable(t);
+    let dispatched = set.violation(t);
+    prop_assert_eq!(
+        portable.to_bits(),
+        scalar.to_bits(),
+        "portable: {} m={} t={:?}: {} vs {}",
+        what,
+        set.len(),
+        t,
+        portable,
+        scalar
+    );
+    prop_assert_eq!(
+        dispatched.to_bits(),
+        scalar.to_bits(),
+        "dispatched: {} m={} t={:?}: {} vs {}",
+        what,
+        set.len(),
+        t,
+        dispatched,
+        scalar
+    );
+    Ok(())
 }
 
 proptest! {
@@ -213,25 +274,54 @@ proptest! {
                     }
                 }
             }
-            // `violation` dispatches (to the AVX2 copy on an AVX2 host), so
-            // the portable fallback is pinned separately.
-            let scalar = scalar_violation(&set, &t);
-            let portable = set.violation_portable(&t);
-            let dispatched = set.violation(&t);
-            prop_assert_eq!(
-                portable.to_bits(),
-                scalar.to_bits(),
-                "portable: d={} m={} builder={} t={:?}: {} vs {}",
-                d, set.len(), builder, t, portable, scalar
-            );
-            prop_assert_eq!(
-                dispatched.to_bits(),
-                scalar.to_bits(),
-                "dispatched: d={} m={} builder={} t={:?}: {} vs {}",
-                d, set.len(), builder, t, dispatched, scalar
-            );
+            assert_paths_agree(&set, &t, &format!("d={d} builder={builder}"))?;
+        }
+        // The zero vector conforms to every arbitrary set, so only the
+        // fold's starting value reaches the total.
+        assert_paths_agree(&set, &vec![0.0; d], &format!("zero row, d={d} builder={builder}"))?;
+    }
+}
+
+/// The edge cases of the violated-terms-only fold, for every projection
+/// count from 1 to 40 (every 16/8/1 tile remainder, with and without full
+/// 16- and 8-tiles) under every weight pattern: all-conforming rows (the
+/// starting zero's sign), violated terms weighted `-0.0`, mixed `±0.0`
+/// weights, and `σ = +∞` probed with `±∞` features, whose `-∞/∞` term is
+/// NaN and must reach the total.
+#[test]
+fn violation_skip_edge_cases_are_bit_identical_to_scalar() {
+    let mut rng = StdRng::seed_from_u64(20);
+    let mut saw_negative_zero = false;
+    let mut saw_nan = false;
+    for m in 1..=40 {
+        for weights in WEIGHTS {
+            for d in [1, 3, 8] {
+                let set = arbitrary_set(d, m, weights, &mut rng);
+                let what = format!("d={d} weights={weights:?}");
+                let mut probes = vec![vec![0.0; d], vec![-0.0; d]];
+                for _ in 0..6 {
+                    probes.push((0..d).map(|_| rng.gen_range(-100.0..100.0)).collect());
+                    probes.push(
+                        (0..d)
+                            .map(|_| match rng.gen_range(0u8..3) {
+                                0 => f64::INFINITY,
+                                1 => f64::NEG_INFINITY,
+                                _ => rng.gen_range(-100.0..100.0),
+                            })
+                            .collect(),
+                    );
+                }
+                for t in &probes {
+                    assert_paths_agree(&set, t, &what).unwrap();
+                    let v = set.violation(t);
+                    saw_negative_zero |= v.to_bits() == (-0.0f64).to_bits();
+                    saw_nan |= v.is_nan();
+                }
+            }
         }
     }
+    assert!(saw_negative_zero, "no probe summed to -0.0");
+    assert!(saw_nan, "no probe reached a NaN term");
 }
 
 #[test]

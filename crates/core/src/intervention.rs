@@ -48,11 +48,15 @@ pub trait Predictor: Send {
     /// assembly entirely, and the serving side compares each margin with
     /// a per-cell cutoff.
     ///
+    /// `x` is the caller's scratch: an implementation may overwrite it
+    /// (the learner-backed predictor encodes it in place), so its contents
+    /// are unspecified on return.
+    ///
     /// Only meaningful for predictors trained on all-numeric schemas, and
     /// **opt-in**: the default rejects the call, because a bare matrix
     /// carries no group column and a group-routed predictor inheriting a
     /// permissive default would silently score every row as group 0.
-    fn predict_margin_rows(&self, _x: &Matrix) -> Result<Vec<f64>> {
+    fn predict_margin_rows(&self, _x: &mut Matrix) -> Result<Vec<f64>> {
         Err(crate::CoreError::Unsupported(
             "this predictor does not expose raw decision margins; \
              per-cell threshold repair requires a margin-based model"
@@ -143,9 +147,9 @@ impl Predictor for SingleModelPredictor {
         })
     }
 
-    fn predict_margin_rows(&self, x: &Matrix) -> Result<Vec<f64>> {
-        let encoded = self.encoding.transform_rows(x)?;
-        Ok(self.model.predict_margin(&encoded)?)
+    fn predict_margin_rows(&self, x: &mut Matrix) -> Result<Vec<f64>> {
+        self.encoding.transform_rows_in_place(x)?;
+        Ok(self.model.predict_margin(x)?)
     }
 }
 
@@ -237,9 +241,9 @@ mod tests {
             .train(&s.train, &s.validation, LearnerKind::Logistic)
             .unwrap();
         let via_dataset = p.predict(&s.test).unwrap();
-        let x = s.test.numeric_matrix(None);
+        let mut x = s.test.numeric_matrix(None);
         let via_rows: Vec<u8> = p
-            .predict_margin_rows(&x)
+            .predict_margin_rows(&mut x.clone())
             .unwrap()
             .into_iter()
             .map(|m| u8::from(m >= 0.0))
@@ -255,7 +259,7 @@ mod tests {
         }
         let wrapped = Wrap(p);
         assert!(matches!(
-            wrapped.predict_margin_rows(&x),
+            wrapped.predict_margin_rows(&mut x),
             Err(crate::CoreError::Unsupported(_))
         ));
     }

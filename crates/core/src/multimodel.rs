@@ -110,9 +110,9 @@ mod tests {
         let p = MultiModel
             .train(&s.train, &s.validation, LearnerKind::Logistic)
             .unwrap();
-        let x = s.test.numeric_matrix(None);
+        let mut x = s.test.numeric_matrix(None);
         assert!(matches!(
-            p.predict_margin_rows(&x),
+            p.predict_margin_rows(&mut x),
             Err(CoreError::Unsupported(_))
         ));
     }

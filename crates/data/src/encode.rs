@@ -142,8 +142,9 @@ impl FeatureEncoding {
     }
 
     /// Encode a row-major numeric feature matrix directly, without building
-    /// a [`Dataset`] — the streaming hot path. One column per encoder, in
-    /// fit order; NaN encodes to 0.5 exactly as [`Self::transform`] does.
+    /// a [`Dataset`]. One column per encoder, in fit order; NaN encodes to
+    /// 0.5 exactly as [`Self::transform`] does. This is the specification
+    /// of [`Self::transform_rows_in_place`], the streaming hot path.
     ///
     /// # Errors
     /// Errors when the matrix width disagrees with the fitted column count,
@@ -151,27 +152,7 @@ impl FeatureEncoding {
     /// categorical data has no row-major `f64` representation and must take
     /// the `Dataset` path.
     pub fn transform_rows(&self, x: &Matrix) -> Result<Matrix> {
-        if x.cols() != self.encoders.len() {
-            return Err(DataError::LengthMismatch {
-                expected: self.encoders.len(),
-                got: x.cols(),
-                what: "feature-matrix columns for encoding".into(),
-            });
-        }
-        // (min, range) per column, resolved once so the per-element loop is
-        // branch-light and allocation-free.
-        let mut scalers = Vec::with_capacity(self.encoders.len());
-        for (j, enc) in self.encoders.iter().enumerate() {
-            match enc {
-                ColumnEncoder::MinMax { min, max } => scalers.push((*min, *max - *min)),
-                ColumnEncoder::OneHot { .. } => {
-                    return Err(DataError::WrongColumnKind {
-                        name: format!("column {j}"),
-                        expected: "numeric (categorical encodings need the Dataset path)",
-                    })
-                }
-            }
-        }
+        let scalers = self.row_scalers(x)?;
         let mut out = Matrix::zeros(x.rows(), self.width);
         for i in 0..x.rows() {
             let src = x.row(i);
@@ -187,6 +168,56 @@ impl FeatureEncoding {
             }
         }
         Ok(out)
+    }
+
+    /// [`Self::transform_rows`] written over `x` itself, bit for bit: no
+    /// output matrix is allocated. Every element is computed as
+    /// `((v − min)/range).clamp(0, 1)` and then selected, without a
+    /// branch, where `range > 0` and `v` is not NaN; everywhere else it
+    /// becomes 0.5. The two rules round the same operations, so they agree
+    /// on every input, NaN results of an overflowing range included.
+    ///
+    /// # Errors
+    /// The errors of [`Self::transform_rows`], before `x` is touched.
+    pub fn transform_rows_in_place(&self, x: &mut Matrix) -> Result<()> {
+        let scalers = self.row_scalers(x)?;
+        if scalers.is_empty() {
+            return Ok(());
+        }
+        for row in x.as_mut_slice().chunks_exact_mut(scalers.len()) {
+            for (v, &(min, range)) in row.iter_mut().zip(&scalers) {
+                let scaled = ((*v - min) / range).clamp(0.0, 1.0);
+                *v = if range > 0.0 && !v.is_nan() {
+                    scaled
+                } else {
+                    0.5
+                };
+            }
+        }
+        Ok(())
+    }
+
+    /// `(min, range)` per column for the row-major encoders, resolved once
+    /// so the per-element loop is allocation-free.
+    fn row_scalers(&self, x: &Matrix) -> Result<Vec<(f64, f64)>> {
+        if x.cols() != self.encoders.len() {
+            return Err(DataError::LengthMismatch {
+                expected: self.encoders.len(),
+                got: x.cols(),
+                what: "feature-matrix columns for encoding".into(),
+            });
+        }
+        self.encoders
+            .iter()
+            .enumerate()
+            .map(|(j, enc)| match enc {
+                ColumnEncoder::MinMax { min, max } => Ok((*min, *max - *min)),
+                ColumnEncoder::OneHot { .. } => Err(DataError::WrongColumnKind {
+                    name: format!("column {j}"),
+                    expected: "numeric (categorical encodings need the Dataset path)",
+                }),
+            })
+            .collect()
     }
 
     /// Fit on `train` and transform it in one call.

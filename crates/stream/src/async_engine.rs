@@ -1427,7 +1427,10 @@ mod tests {
             fn predict(&self, _data: &Dataset) -> confair_core::Result<Vec<u8>> {
                 Ok(vec![self.0])
             }
-            fn predict_margin_rows(&self, x: &cf_linalg::Matrix) -> confair_core::Result<Vec<f64>> {
+            fn predict_margin_rows(
+                &self,
+                x: &mut cf_linalg::Matrix,
+            ) -> confair_core::Result<Vec<f64>> {
                 Ok(vec![f64::from(self.0); x.rows()])
             }
         }
@@ -1436,9 +1439,9 @@ mod tests {
         slot.publish(Box::new(Dummy(1)));
         slot.publish(Box::new(Dummy(2)));
         let taken = slot.take().expect("a model is pending");
-        let x = cf_linalg::Matrix::zeros(1, 1);
+        let mut x = cf_linalg::Matrix::zeros(1, 1);
         assert_eq!(
-            taken.predict_margin_rows(&x).unwrap(),
+            taken.predict_margin_rows(&mut x).unwrap(),
             vec![2.0],
             "latest wins"
         );

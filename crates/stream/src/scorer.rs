@@ -68,7 +68,8 @@ impl Scorer {
 
     /// Score one prevalidated micro-batch: assemble the row-major feature
     /// matrix in the recycled scratch buffer, take the predictor's margins
-    /// for it, and decide a tuple in cell `g` as
+    /// for it (which encodes the buffer in place), and decide a tuple in
+    /// cell `g` as
     /// `margin - conformance_gap(g) >= threshold[g]`. Callers guarantee
     /// every tuple matches the schema width (see
     /// [`crate::engine::StreamEngine::ingest`] for the validating entry
@@ -87,10 +88,10 @@ impl Scorer {
         for t in batch {
             buf.extend_from_slice(&t.borrow().features);
         }
-        let x = Matrix::from_vec(batch.len(), d, buf);
+        let mut x = Matrix::from_vec(batch.len(), d, buf);
         let margins = self
             .predictor
-            .predict_margin_rows(&x)
+            .predict_margin_rows(&mut x)
             .map_err(StreamError::from_core)?;
         let decisions = batch
             .iter()

@@ -443,6 +443,27 @@ fn ragged_profile_is_rejected_at_parse_time() {
     }
 }
 
+/// JSON has no infinity: the codec writes a non-finite number as `null`
+/// and reads `null` back as `+∞`. An infinite constraint importance would
+/// make every violation of its profile NaN, which never exceeds the
+/// conformance threshold, so the cell would silently stop flagging;
+/// parsing must reject it as a typed error instead.
+#[test]
+fn infinite_importance_is_rejected_at_parse_time() {
+    let json = small_checkpoint().to_json();
+    let at = json.find("\"importance\":").expect("a profiled cell") + "\"importance\":".len();
+    let len = json[at..]
+        .find([',', '}'])
+        .expect("importance is followed by another field or the object's end");
+    let tampered = format!("{}null{}", &json[..at], &json[at + len..]);
+    match EngineCheckpoint::from_json(&tampered) {
+        Err(StreamError::Checkpoint(msg)) => {
+            assert!(msg.contains("finite"), "got: {msg}")
+        }
+        other => panic!("expected a typed Checkpoint error, got {other:?}"),
+    }
+}
+
 #[test]
 fn sharded_restore_revalidates_fleet_coherence() {
     let reference = spec(u64::MAX).reference(400, 9);

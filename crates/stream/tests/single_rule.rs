@@ -104,7 +104,7 @@ fn clamped_rows(n: usize, scale: f64) -> Vec<StreamTuple> {
 fn margins(state: &PredictorState, rows: &[StreamTuple]) -> Vec<f64> {
     let flat = rows.iter().flat_map(|t| t.features.clone()).collect();
     predictor(state)
-        .predict_margin_rows(&Matrix::from_vec(rows.len(), FEATURES, flat))
+        .predict_margin_rows(&mut Matrix::from_vec(rows.len(), FEATURES, flat))
         .unwrap()
 }
 
