@@ -9,8 +9,9 @@
 //! round never re-sorts a node or re-descends its own tree.
 
 use crate::{
-    tree::{FlatTree, PresortedFit, RegressionTree, TreeParams},
-    validate_fit_inputs, LearnError, Learner, Result,
+    check_scorable, sigmoid,
+    tree::{FlatTree, PresortedFit, RegressionTree, TreeParams, CHAINS},
+    validate_fit_inputs, Learner, Result,
 };
 use cf_linalg::Matrix;
 use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
@@ -112,9 +113,10 @@ pub struct Gbt {
     base_score: f64,
     n_features: usize,
     fitted: bool,
-    /// The fitted trees compiled to SoA form for the batch scoring kernel.
+    /// Each fitted tree's heap form for the batch scoring kernel, or `None`
+    /// for a tree too deep to pad (see [`RegressionTree::flatten`]).
     /// Derived state: rebuilt at fit/deserialise time, never serialised.
-    flat: Vec<FlatTree>,
+    flat: Vec<Option<FlatTree>>,
 }
 
 impl Default for Gbt {
@@ -143,8 +145,10 @@ impl serde::Serialize for Gbt {
 // Manual Deserialize: fields alone don't make a valid ensemble — every
 // tree's split feature indices must stay inside the declared feature
 // count, or a corrupted checkpoint would pass parsing and then panic with
-// index-out-of-bounds inside `predict_row` at serve time. The flat kernel
-// form is compiled here, after validation — old documents flatten on load.
+// index-out-of-bounds inside `predict_row` at serve time, and the base
+// score must be finite (the JSON codec reads `null` as `+∞`, which would
+// decide every row positive). The flat kernel form is compiled here, after
+// validation — old documents flatten on load.
 impl serde::Deserialize for Gbt {
     fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
         use serde::Deserialize;
@@ -156,6 +160,12 @@ impl serde::Deserialize for Gbt {
             fitted: Deserialize::from_value(v.get_or_err("fitted")?)?,
             flat: Vec::new(),
         };
+        if !gbt.base_score.is_finite() {
+            return Err(serde::Error::msg(format!(
+                "gbt base_score must be finite, got {}",
+                gbt.base_score
+            )));
+        }
         for (i, tree) in gbt.trees.iter().enumerate() {
             if let Some(f) = tree.max_feature_index() {
                 if f >= gbt.n_features {
@@ -168,16 +178,6 @@ impl serde::Deserialize for Gbt {
         }
         gbt.rebuild_flat();
         Ok(gbt)
-    }
-}
-
-#[inline]
-fn sigmoid(z: f64) -> f64 {
-    if z >= 0.0 {
-        1.0 / (1.0 + (-z).exp())
-    } else {
-        let e = z.exp();
-        e / (1.0 + e)
     }
 }
 
@@ -208,37 +208,9 @@ impl Gbt {
         self.n_features
     }
 
-    /// Recompile the SoA kernel form from the recursive trees.
+    /// Recompile the heap kernel forms from the recursive trees.
     fn rebuild_flat(&mut self) {
         self.flat = self.trees.iter().map(RegressionTree::flatten).collect();
-    }
-
-    /// Raw margin (log-odds) for one row, via the recursive walker.
-    ///
-    /// Accumulated as one left-to-right fold (`base`, then each tree's
-    /// shrunk contribution in boosting order) — the exact association the
-    /// batch kernel uses per row, so [`Self::predict_margin_rows`] and this
-    /// reference path are bit-identical, not merely close.
-    fn margin(&self, row: &[f64]) -> f64 {
-        let mut m = self.base_score;
-        for tree in &self.trees {
-            m += self.config.eta * tree.predict_row(row);
-        }
-        m
-    }
-
-    fn check_scorable(&self, x: &Matrix) -> Result<()> {
-        if !self.fitted {
-            return Err(LearnError::NotFitted);
-        }
-        if x.cols() != self.n_features {
-            return Err(LearnError::ShapeMismatch(format!(
-                "{} features, model has {}",
-                x.cols(),
-                self.n_features
-            )));
-        }
-        Ok(())
     }
 
     /// Raw margins (log-odds) for every row of `x`, via the flat batch
@@ -246,6 +218,10 @@ impl Gbt {
     /// each compiled tree sweeps a whole block of rows before the next
     /// tree starts — one tree's node arrays stay L1-resident while rows
     /// stream, instead of every row chasing pointers through every tree.
+    /// A tree with no heap form (see [`RegressionTree::flatten`]) walks
+    /// each row of the block with the recursive walker at its place in
+    /// the same loop, so every row's fold stays `base`, then `eta·tree` in
+    /// boosting order.
     ///
     /// Rows are tiled into ~L1-sized blocks before the tree-outer loop:
     /// sweeping *all* rows per tree would re-stream the full feature
@@ -253,7 +229,8 @@ impl Gbt {
     /// memory traffic), while an L1-sized block is re-read from cache by
     /// every tree after the first.
     pub fn predict_margin_rows(&self, x: &Matrix) -> Result<Vec<f64>> {
-        self.check_scorable(x)?;
+        check_scorable(self.fitted, self.n_features, x)?;
+        let eta = self.config.eta;
         let mut margins = vec![self.base_score; x.rows()];
         let d = x.cols();
         let data = x.as_slice();
@@ -262,26 +239,41 @@ impl Gbt {
         // slice (measured faster than a 32 KiB block, which makes rows
         // and nodes fight over the cache) — but never fewer rows than the
         // kernel keeps in flight.
-        let block = (16 * 1024 / (d * std::mem::size_of::<f64>()).max(1)).max(8);
+        let block = (16 * 1024 / (d * std::mem::size_of::<f64>()).max(1)).max(CHAINS);
         let mut start = 0;
         while start < x.rows() {
             let end = (start + block).min(x.rows());
             let rows = &data[start * d..end * d];
             let out = &mut margins[start..end];
-            for tree in &self.flat {
-                tree.accumulate_margins(rows, d, self.config.eta, out);
+            for (tree, flat) in self.trees.iter().zip(&self.flat) {
+                match flat {
+                    Some(flat) => flat.accumulate_margins(rows, d, eta, out),
+                    None => {
+                        for (j, o) in out.iter_mut().enumerate() {
+                            *o += eta * tree.predict_row(&rows[j * d..(j + 1) * d]);
+                        }
+                    }
+                }
             }
             start = end;
         }
         Ok(margins)
     }
 
-    /// Reference margins via the recursive per-row walker. Kept (and
-    /// property-pinned bit-identical to [`Self::predict_margin_rows`]) as
-    /// the readable specification of what the kernel computes.
+    /// Reference margins via the recursive per-row walker, each row one
+    /// left-to-right fold (`base`, then each tree's shrunk contribution in
+    /// boosting order) — the association the batch kernel keeps per row.
+    /// Kept (and property-pinned bit-identical to
+    /// [`Self::predict_margin_rows`]) as the readable specification of
+    /// what the kernel computes.
     pub fn predict_margin_rows_recursive(&self, x: &Matrix) -> Result<Vec<f64>> {
-        self.check_scorable(x)?;
-        Ok(x.iter_rows().map(|row| self.margin(row)).collect())
+        check_scorable(self.fitted, self.n_features, x)?;
+        let eta = self.config.eta;
+        let margin = |row: &[f64]| {
+            let fold = |m, tree: &RegressionTree| m + eta * tree.predict_row(row);
+            self.trees.iter().fold(self.base_score, fold)
+        };
+        Ok(x.iter_rows().map(margin).collect())
     }
 
     /// The boosting loop behind [`Learner::fit`] and [`Self::fit_reference`]:
@@ -395,30 +387,7 @@ impl Learner for Gbt {
         self.boost(x, y, weights, false)
     }
 
-    fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>> {
-        Ok(self
-            .predict_margin_rows(x)?
-            .into_iter()
-            .map(sigmoid)
-            .collect())
-    }
-
-    fn predict(&self, x: &Matrix) -> Result<Vec<u8>> {
-        // `sigmoid(z) >= 0.5` iff `z >= 0`: hard decisions threshold the
-        // raw boosting margin and skip the per-tuple exp. The margin sign
-        // is the exact decision boundary — at a margin of exactly 0 the
-        // proba path lands on exactly 0.5 and both report the positive
-        // class, so `predict == (proba >= 0.5)` everywhere.
-        Ok(self
-            .predict_margin_rows(x)?
-            .into_iter()
-            .map(|m| u8::from(m >= 0.0))
-            .collect())
-    }
-
     fn predict_margin(&self, x: &Matrix) -> Result<Vec<f64>> {
-        // The flat batch kernel `predict` thresholds at zero: `margin >= τ`
-        // with τ = 0 reproduces `predict` bit for bit.
         self.predict_margin_rows(x)
     }
 
@@ -434,7 +403,7 @@ impl Learner for Gbt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accuracy;
+    use crate::{accuracy, tree::HEAP_DEPTH_MAX, LearnError};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     /// XOR-patterned data — not linearly separable, needs depth ≥ 2.
@@ -591,6 +560,90 @@ mod tests {
             assert_eq!(
                 fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 slow.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    /// A comb document of `deep` splits on `feature`: split k sends
+    /// `x < k/deep` to leaf k, otherwise on to split k+1 (the last split's
+    /// right child is the terminal leaf), so the tree is `deep` levels
+    /// deep.
+    fn comb_document(deep: usize, feature: usize) -> serde::Value {
+        use serde::Value;
+        let mut nodes = Vec::new();
+        for k in 0..deep {
+            let right = if k + 1 < deep { k + 1 } else { 2 * deep };
+            nodes.push(Value::Object(vec![
+                ("feature".into(), Value::Number(feature as f64)),
+                ("threshold".into(), Value::Number(k as f64 / deep as f64)),
+                ("left".into(), Value::Number((deep + k) as f64)),
+                ("right".into(), Value::Number(right as f64)),
+            ]));
+        }
+        for k in 0..=deep {
+            let weight = 0.1 * k as f64 - 0.55;
+            nodes.push(Value::Object(vec![(
+                "weight".into(),
+                Value::Number(weight),
+            )]));
+        }
+        Value::Object(vec![
+            ("nodes".into(), Value::Array(nodes)),
+            ("root".into(), Value::Number(0.0)),
+        ])
+    }
+
+    #[test]
+    fn deep_tree_beyond_heap_limit_scores_like_the_recursive_walker() {
+        // A fitted depth-4 forest with a comb one level past the heap
+        // limit spliced in mid-ensemble and a comb at the limit appended:
+        // the deep tree has no heap form and walks recursively inside the
+        // block loop, and every row's fold must still be the recursive
+        // `base, then eta·tree in boosting order` to the bit.
+        let (x, y) = xor_data(200, 8);
+        let mut fitted = Gbt::new(GbtConfig {
+            n_rounds: 6,
+            ..GbtConfig::default()
+        });
+        fitted.fit(&x, &y, None).unwrap();
+        let limit = HEAP_DEPTH_MAX as usize;
+        let mut doc = serde::Serialize::to_value(&fitted);
+        let serde::Value::Object(fields) = &mut doc else {
+            panic!("a gbt document is an object")
+        };
+        let Some((_, serde::Value::Array(trees))) = fields.iter_mut().find(|(k, _)| k == "trees")
+        else {
+            panic!("a gbt document lists its trees")
+        };
+        trees.insert(2, comb_document(limit + 1, 1));
+        trees.push(comb_document(limit, 0));
+        let gbt: Gbt = serde::Deserialize::from_value(&doc).unwrap();
+        assert_eq!(gbt.trees[2].depth(), limit + 1);
+        let unflattened: Vec<usize> = (0..gbt.flat.len())
+            .filter(|&i| gbt.flat[i].is_none())
+            .collect();
+        assert_eq!(unflattened, vec![2]);
+
+        // At d = 2 a 16 KiB block holds 1,024 rows, so 2,500 rows span two
+        // full blocks and a ragged one; 15/16/17 straddle one chain group.
+        let mut rng = StdRng::seed_from_u64(9);
+        for rows in [0, 1, 15, 16, 17, 2500] {
+            let data = (0..rows * 2)
+                .map(|_| {
+                    if rng.gen_bool(0.1) {
+                        f64::NAN
+                    } else {
+                        rng.gen_range(-0.2..1.2)
+                    }
+                })
+                .collect();
+            let block = Matrix::from_vec(rows, 2, data);
+            let fast = gbt.predict_margin_rows(&block).unwrap();
+            let slow = gbt.predict_margin_rows_recursive(&block).unwrap();
+            assert_eq!(
+                fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                slow.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "{rows} rows"
             );
         }
     }

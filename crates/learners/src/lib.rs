@@ -27,9 +27,6 @@ pub use logistic::{LogisticRegression, LogisticRegressionConfig};
 
 use cf_linalg::Matrix;
 
-/// Classification threshold shared by every learner.
-pub const DECISION_THRESHOLD: f64 = 0.5;
-
 /// Errors surfaced by learner training and inference.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LearnError {
@@ -70,33 +67,36 @@ impl std::error::Error for LearnError {}
 pub type Result<T> = std::result::Result<T, LearnError>;
 
 /// A binary classifier with native per-instance weight support.
+///
+/// Implementors score through one method, [`Learner::predict_margin`];
+/// [`Learner::predict`] and [`Learner::predict_proba`] derive from it, so
+/// decisions, probabilities and serve-time repair (which compares the same
+/// margins with per-cell cutoffs) always agree.
 pub trait Learner: Send {
     /// Train on features `x`, labels `y ∈ {0.0, 1.0}`, and optional
     /// non-negative instance weights (defaulting to 1.0 each).
     fn fit(&mut self, x: &Matrix, y: &[f64], weights: Option<&[f64]>) -> Result<()>;
 
-    /// Predicted probability of the positive class for each row of `x`.
-    fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>>;
+    /// Raw decision margins (log-odds) for each row of `x`: the
+    /// pre-sigmoid score whose sign is the hard decision. Fails with
+    /// [`LearnError::NotFitted`] before `fit` and with
+    /// [`LearnError::ShapeMismatch`] when `x` is not the fitted width.
+    fn predict_margin(&self, x: &Matrix) -> Result<Vec<f64>>;
 
-    /// Hard predictions at the 0.5 threshold.
+    /// Hard predictions, `margin >= 0.0`: `sigmoid(margin) >= 0.5` without
+    /// the per-row `exp`, and exact where the probability is not (a margin
+    /// just below zero can round to a probability of exactly 0.5).
     fn predict(&self, x: &Matrix) -> Result<Vec<u8>> {
         Ok(self
-            .predict_proba(x)?
+            .predict_margin(x)?
             .into_iter()
-            .map(|p| u8::from(p >= DECISION_THRESHOLD))
+            .map(|m| u8::from(m >= 0.0))
             .collect())
     }
 
-    /// Raw decision margins for each row of `x`: the pre-sigmoid score
-    /// whose sign is the hard decision (`predict` is exactly
-    /// `margin >= 0.0` for both built-in learners). Opt-in — the default
-    /// rejects the call — because serve-time threshold repair shifts
-    /// decisions by comparing margins against per-cell cutoffs, and a
-    /// learner without a native margin has no boundary to shift.
-    fn predict_margin(&self, _x: &Matrix) -> Result<Vec<f64>> {
-        Err(LearnError::ShapeMismatch(
-            "this learner does not expose raw decision margins".into(),
-        ))
+    /// Probability of the positive class for each row: `sigmoid(margin)`.
+    fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>> {
+        Ok(self.predict_margin(x)?.into_iter().map(sigmoid).collect())
     }
 
     /// Whether `fit` has succeeded at least once.
@@ -158,11 +158,48 @@ impl serde::Deserialize for ModelState {
     fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
         let model = v.get_or_err("model")?;
         match v.get_or_err("kind")?.as_str() {
-            Some("LR") => Ok(ModelState::Logistic(serde::Deserialize::from_value(model)?)),
+            Some("LR") => {
+                let m: LogisticRegression = serde::Deserialize::from_value(model)?;
+                // The JSON codec reads `null` as `+∞`, which would decide
+                // (nearly) every row the same way without any error.
+                if !m.intercept().is_finite() || m.coefficients().iter().any(|c| !c.is_finite()) {
+                    return Err(serde::Error::msg(
+                        "logistic coefficients and intercept must be finite",
+                    ));
+                }
+                Ok(ModelState::Logistic(m))
+            }
             Some("XGB") => Ok(ModelState::Gbt(serde::Deserialize::from_value(model)?)),
             _ => Err(serde::Error::msg("unknown model kind")),
         }
     }
+}
+
+/// The logistic function, split on sign so neither branch overflows.
+#[inline]
+pub(crate) fn sigmoid(z: f64) -> f64 {
+    if z >= 0.0 {
+        1.0 / (1.0 + (-z).exp())
+    } else {
+        let e = z.exp();
+        e / (1.0 + e)
+    }
+}
+
+/// The check every learner's `predict_margin` runs first: the model is
+/// fitted and `x` is exactly as wide as the fitted feature count.
+pub(crate) fn check_scorable(fitted: bool, n_features: usize, x: &Matrix) -> Result<()> {
+    if !fitted {
+        return Err(LearnError::NotFitted);
+    }
+    if x.cols() != n_features {
+        return Err(LearnError::ShapeMismatch(format!(
+            "{} features, model has {}",
+            x.cols(),
+            n_features
+        )));
+    }
+    Ok(())
 }
 
 /// Validate the (x, y, weights) triple shared by every learner's `fit`.

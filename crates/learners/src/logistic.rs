@@ -9,7 +9,7 @@
 //! fairness interventions produce. Deterministic (zero initialisation, fixed
 //! schedule): repeated experiment runs differ only through the data seeds.
 
-use crate::{validate_fit_inputs, LearnError, Learner, Result};
+use crate::{check_scorable, sigmoid, validate_fit_inputs, LearnError, Learner, Result};
 use cf_linalg::{cholesky, Matrix};
 
 /// Hyperparameters for [`LogisticRegression`].
@@ -54,17 +54,6 @@ pub struct LogisticRegression {
 impl Default for LogisticRegression {
     fn default() -> Self {
         Self::new(LogisticRegressionConfig::default())
-    }
-}
-
-#[inline]
-fn sigmoid(z: f64) -> f64 {
-    // Split on sign for numerical stability at large |z|.
-    if z >= 0.0 {
-        1.0 / (1.0 + (-z).exp())
-    } else {
-        let e = z.exp();
-        e / (1.0 + e)
     }
 }
 
@@ -217,65 +206,12 @@ impl Learner for LogisticRegression {
         Ok(())
     }
 
-    fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>> {
-        if !self.fitted {
-            return Err(LearnError::NotFitted);
-        }
-        if x.cols() != self.coefficients.len() {
-            return Err(LearnError::ShapeMismatch(format!(
-                "{} features, model has {}",
-                x.cols(),
-                self.coefficients.len()
-            )));
-        }
+    fn predict_margin(&self, x: &Matrix) -> Result<Vec<f64>> {
+        check_scorable(self.fitted, self.coefficients.len(), x)?;
         // The tiled kernel accumulates each row k-ascending with the
         // intercept added last — bit-identical to the per-row
-        // `dot(coef, row) + intercept` it replaces, so scores (and the
-        // golden-fixture artifacts downstream) are unchanged.
-        Ok(x.affine_margins(&self.coefficients, self.intercept)
-            .map_err(|e| LearnError::ShapeMismatch(e.to_string()))?
-            .into_iter()
-            .map(sigmoid)
-            .collect())
-    }
-
-    fn predict(&self, x: &Matrix) -> Result<Vec<u8>> {
-        if !self.fitted {
-            return Err(LearnError::NotFitted);
-        }
-        if x.cols() != self.coefficients.len() {
-            return Err(LearnError::ShapeMismatch(format!(
-                "{} features, model has {}",
-                x.cols(),
-                self.coefficients.len()
-            )));
-        }
-        // `sigmoid(z) >= 0.5` iff `z >= 0` (monotone, sigmoid(0) = 0.5),
-        // so hard decisions never need the exp — the streaming hot path
-        // thresholds the tiled linear scores directly. The sign of z is the
-        // exact decision boundary; the proba path can only disagree for z
-        // within one ulp of 0, where computing sigmoid rounds to exactly
-        // 0.5.
-        Ok(x.affine_margins(&self.coefficients, self.intercept)
-            .map_err(|e| LearnError::ShapeMismatch(e.to_string()))?
-            .into_iter()
-            .map(|z| u8::from(z >= 0.0))
-            .collect())
-    }
-
-    fn predict_margin(&self, x: &Matrix) -> Result<Vec<f64>> {
-        if !self.fitted {
-            return Err(LearnError::NotFitted);
-        }
-        if x.cols() != self.coefficients.len() {
-            return Err(LearnError::ShapeMismatch(format!(
-                "{} features, model has {}",
-                x.cols(),
-                self.coefficients.len()
-            )));
-        }
-        // The same tiled linear scores `predict` thresholds at zero:
-        // `margin >= τ` with τ = 0 reproduces `predict` bit for bit.
+        // `dot(coef, row) + intercept`, so scores (and the golden-fixture
+        // artifacts downstream) are unchanged.
         x.affine_margins(&self.coefficients, self.intercept)
             .map_err(|e| LearnError::ShapeMismatch(e.to_string()))
     }

@@ -126,11 +126,22 @@ impl RegressionTree {
         self.nodes.len()
     }
 
-    /// Validate that every split's children are in-bounds and the node
-    /// graph reachable from `root` is a tree (no index cycles), so a
-    /// corrupted serialised tree fails loudly at deserialisation time
-    /// instead of looping or panicking inside `predict_row`.
+    /// Validate that every leaf weight and split threshold is finite,
+    /// every split's children are in-bounds and the node graph reachable
+    /// from `root` is a tree (no index cycles), so a corrupted serialised
+    /// tree fails loudly at deserialisation time instead of looping or
+    /// panicking inside `predict_row`, or scoring with the `+∞` the JSON
+    /// codec reads a `null` as.
     fn validate(&self) -> Result<(), String> {
+        for (i, node) in self.nodes.iter().enumerate() {
+            let (what, v) = match node {
+                TreeNode::Leaf { weight } => ("weight", *weight),
+                TreeNode::Split { threshold, .. } => ("threshold", *threshold),
+            };
+            if !v.is_finite() {
+                return Err(format!("tree node {i} {what} must be finite, got {v}"));
+            }
+        }
         if self.root >= self.nodes.len() {
             return Err(format!(
                 "tree root {} out of bounds for {} nodes",
@@ -187,82 +198,31 @@ impl RegressionTree {
         rec(&self.nodes, self.root)
     }
 
-    /// Compile into the flattened, branch-predictable [`FlatTree`] form.
+    /// Compile into the perfect-heap [`FlatTree`] the batch kernel sweeps,
+    /// or `None` when the tree is deeper than `HEAP_DEPTH_MAX` (10). Fitted
+    /// trees are that deep only under a `max_depth` above it; such a tree
+    /// scores through [`Self::predict_row`] instead.
     ///
-    /// # Panics
-    /// Panics if a split's child index is out of bounds — fitted trees are
-    /// in-bounds by construction and deserialised trees are validated, so
-    /// this only fires on a hand-built inconsistent tree. Asserting here,
-    /// once per tree, is what lets the batch kernel walk the node arrays
-    /// without per-step bounds checks.
-    pub fn flatten(&self) -> FlatTree {
-        let n = self.nodes.len();
-        let mut feature = vec![0u32; n];
-        let mut value = vec![0.0f64; n];
-        let mut children = vec![0u64; n];
-        for (i, node) in self.nodes.iter().enumerate() {
-            match node {
-                // Leaves self-loop: once a cursor arrives, further descent
-                // steps are no-ops, so the batch walker can run a fixed
-                // number of iterations with no per-step "am I done" branch.
-                // `feature` stays 0 — a safe in-bounds column whose
-                // comparison result is irrelevant on a self-loop.
-                TreeNode::Leaf { weight } => {
-                    value[i] = *weight;
-                    children[i] = pack_children(i, i);
-                }
-                TreeNode::Split {
-                    feature: f,
-                    threshold,
-                    left: l,
-                    right: r,
-                } => {
-                    assert!(
-                        *l < n && *r < n,
-                        "split {i} has out-of-bounds child ({l}, {r}) for {n} nodes"
-                    );
-                    feature[i] = *f as u32;
-                    value[i] = *threshold;
-                    children[i] = pack_children(*l, *r);
-                }
-            }
-        }
-        assert!(
-            self.root < n,
-            "root {} out of bounds for {n} nodes",
-            self.root
-        );
+    /// The heap is the tree padded to a perfect binary tree of height
+    /// `depth` in level order. Leaves shallower than `depth` are copied
+    /// down both virtual branches (feature 0, threshold 0.0 — the
+    /// comparison result is irrelevant when both children are the same
+    /// copy), so a cursor descending exactly `depth` levels always lands
+    /// on the right leaf's weight in the bottom level.
+    pub fn flatten(&self) -> Option<FlatTree> {
         let depth = self.depth() as u32;
-        let (heap_feature, heap_value) = if depth <= HEAP_DEPTH_MAX {
-            self.build_heap(depth)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        FlatTree {
+        if depth > HEAP_DEPTH_MAX {
+            return None;
+        }
+        let mut feature = vec![0u32; (1usize << depth) - 1];
+        let mut value = vec![0.0f64; (1usize << (depth + 1)) - 1];
+        self.fill_heap(self.root, 0, 0, depth, &mut feature, &mut value);
+        Some(FlatTree {
             feature,
             value,
-            children,
-            heap_feature,
-            heap_value,
-            root: self.root as u32,
             depth,
             min_width: self.max_feature_index().map_or(0, |f| f as u32 + 1),
-        }
-    }
-
-    /// Build the perfect-heap form (see the [`FlatTree::heap_value`]
-    /// docs): the tree padded to a perfect binary tree of height `depth`
-    /// in level order. Leaves shallower than `depth` are copied down both
-    /// virtual branches (feature 0, threshold 0.0 — the comparison result
-    /// is irrelevant when both children are the same copy), so a cursor
-    /// descending exactly `depth` levels always lands on the right leaf's
-    /// weight in the bottom level.
-    fn build_heap(&self, depth: u32) -> (Vec<u32>, Vec<f64>) {
-        let internal = (1usize << depth) - 1;
-        let mut hf = vec![0u32; internal];
-        let mut hv = vec![0.0f64; (1usize << (depth + 1)) - 1];
-        self.fill_heap(self.root, 0, 0, depth, &mut hf, &mut hv);
-        (hf, hv)
+        })
     }
 
     fn fill_heap(
@@ -302,68 +262,38 @@ impl RegressionTree {
     }
 }
 
-/// A fitted regression tree compiled to structure-of-arrays form for the
-/// batch scoring kernel.
+/// A fitted regression tree compiled to the perfect-heap form the batch
+/// scoring kernel sweeps.
 ///
 /// The recursive [`RegressionTree`] stores an enum per node: every descent
 /// step is a discriminant match plus a pointer-sized jump the branch
-/// predictor cannot learn (the path depends on data). The flat form stores
-/// the same tree as parallel node arrays, with leaves encoded as
-/// *self-loops* (`left == right == self`). Descent then needs no
-/// leaf-vs-split branch at all: every step is
+/// predictor cannot learn (the path depends on data). The heap form stores
+/// the tree completed to a perfect binary tree of height `depth`, in level
+/// order, as two arrays. Descent is then pure index arithmetic with no
+/// leaf-vs-split branch and no child-pointer load:
 ///
 /// ```text
-/// n = if row[feature[n]] < value[n] { left[n] } else { right[n] }
+/// n = 2n + 1 + (row[feature[n]] < value[n] is false)
 /// ```
 ///
-/// and running exactly `depth` steps is guaranteed to land on a leaf —
-/// cursors that arrive early just spin in place. `value` is overloaded:
-/// the split threshold on interior nodes, the leaf weight on leaves (the
-/// two are never needed at the same node). Built once at fit/deserialise
-/// time and never serialised — the wire format stays the v4 node-enum
-/// document.
+/// and exactly `depth` steps land every cursor in the bottom level, which
+/// holds the leaf weights. A step is three loads (feature, threshold, row
+/// gather), one compare and one address computation; the kernel is
+/// issue-width bound, so fewer µops per step is directly more throughput.
+/// Built by [`RegressionTree::flatten`] at fit/deserialise time and never
+/// serialised — the wire format stays the v4 node-enum document.
 #[derive(Debug, Clone)]
 pub struct FlatTree {
-    /// Split feature per node (0 on leaves — safe, unused).
+    /// Split feature per *internal* slot: `2^depth − 1` slots in level
+    /// order. Padding slots (under a shallow leaf) keep feature 0 —
+    /// in-bounds, result irrelevant.
     feature: Vec<u32>,
-    /// Split threshold on interior nodes; leaf weight on leaves.
+    /// `2^(depth+1) − 1` slots in level order: split thresholds on the
+    /// internal slots, leaf weights across the whole bottom level (shallow
+    /// leaves copied down both virtual branches).
     value: Vec<f64>,
-    /// Child pair per node, packed `left | right << 32` (`self | self`
-    /// on leaves). Packing lets the descent select a child with a shift
-    /// (`pack >> (32 * go_right)`) — pure ALU work — instead of either a
-    /// branch or a compare-dependent second load. Split directions are
-    /// close to 50/50 by construction (that is what a good split does),
-    /// the one case where a data-dependent branch is guaranteed to
-    /// mispredict; and the pack is loaded *before* the compare resolves,
-    /// so the only thing on the post-compare critical path is the shift.
-    ///
-    /// Invariant (established by `flatten`'s asserts, relied on by the
-    /// unchecked loads in [`FlatTree::sweep`]): every packed index, and
-    /// `root`, is `< feature.len() == value.len() == children.len()`.
-    children: Vec<u64>,
-    /// Split feature per *internal* slot of the perfect-heap form:
-    /// `2^depth − 1` slots in level order (empty above
-    /// [`HEAP_DEPTH_MAX`]). Padding slots (under a shallow leaf) keep
-    /// feature 0 — in-bounds, result irrelevant.
-    heap_feature: Vec<u32>,
-    /// The perfect-heap form the batch kernel actually sweeps when the
-    /// tree is shallow enough to pad: the tree completed to a perfect
-    /// binary tree of height `depth`, stored in level order
-    /// (`2^(depth+1) − 1` slots; thresholds on internal slots, leaf
-    /// weights across the whole bottom level, shallow leaves copied down
-    /// both virtual branches). Descent is then pure index arithmetic —
-    /// `n = 2n + 1 + (x < v is false)` — with no child-pointer load at
-    /// all, which drops a descent step from four loads to three and the
-    /// child select from shift+mask to one `lea`; the kernel is
-    /// issue-width bound, so fewer µops per step is directly more
-    /// throughput. Empty when `depth > HEAP_DEPTH_MAX` (padding doubles
-    /// per level); the kernel then falls back to [`FlatTree::sweep`] over
-    /// the explicit-children arrays above, which always exist and always
-    /// agree.
-    heap_value: Vec<f64>,
-    root: u32,
     /// Depth of the deepest leaf: after this many descent steps every
-    /// cursor sits on a leaf.
+    /// cursor sits in the bottom level.
     depth: u32,
     /// `max_feature_index + 1` (0 for a single-leaf tree): the narrowest
     /// row this tree can score. The batch kernel asserts rows are at
@@ -374,62 +304,42 @@ pub struct FlatTree {
 
 /// How many descent chains `accumulate_margins` keeps in flight. Each
 /// chain is latency-bound (load feature → load row value → compare →
-/// select child), so eight independent chains give the out-of-order core
+/// next slot), so sixteen independent chains give the out-of-order core
 /// enough work to hide each chain's serial latency.
-const CHAINS: usize = 16;
+pub(crate) const CHAINS: usize = 16;
 
-/// Deepest tree the perfect-heap form is built for: padding doubles per
+/// Deepest tree [`RegressionTree::flatten`] compiles: padding doubles per
 /// level, so height 10 costs at most `2^11 − 1` slots (~16 KiB of
 /// thresholds/weights — still comfortably L1-resident next to a row
-/// block). Fitted trees are far shallower (`GbtConfig` depth defaults
-/// to 4); only a pathological deserialised document exceeds this, and
-/// those score through the explicit-children sweep instead.
-const HEAP_DEPTH_MAX: u32 = 10;
-
-/// Pack a `[left, right]` child pair into the shift-selectable u64 form.
-fn pack_children(left: usize, right: usize) -> u64 {
-    left as u64 | (right as u64) << 32
-}
-
-/// Select a child from a packed pair: `go_left` picks the low half
-/// (left), otherwise the high half (right).
-#[inline(always)]
-fn select_child(pack: u64, go_left: bool) -> usize {
-    ((pack >> (u32::from(!go_left) * 32)) & 0xffff_ffff) as usize
-}
+/// block). Fitted trees are far shallower (`GbtConfig` depth defaults to
+/// 4).
+pub(crate) const HEAP_DEPTH_MAX: u32 = 10;
 
 impl FlatTree {
-    /// One descent step; on leaves (self-loops) this is the identity.
-    #[inline(always)]
-    fn step(&self, row: &[f64], n: usize) -> usize {
-        // The comparison must be the recursive walker's own
-        // `row[feature] < threshold`, negated as a *boolean* — writing
-        // `>=` instead would flip the NaN cases, where `<` and `>=` are
-        // both false (NaN on either side must go right, exactly like the
-        // reference).
-        let go_left = row[self.feature[n] as usize] < self.value[n];
-        select_child(self.children[n], go_left)
-    }
-
     /// The raw leaf weight for one feature row — bit-identical to
     /// [`RegressionTree::predict_row`] on the source tree.
     #[inline]
     pub fn predict_row(&self, row: &[f64]) -> f64 {
-        let mut n = self.root as usize;
+        let mut n = 0;
         for _ in 0..self.depth {
-            n = self.step(row, n);
+            // The recursive walker's own `row[feature] < threshold` as a
+            // *boolean* (never rewritten to `>=`, which would flip the NaN
+            // cases): true descends to the left child `2n + 1`, false —
+            // including NaN on either side — to the right child `2n + 2`.
+            n = 2 * n + 2 - usize::from(row[self.feature[n] as usize] < self.value[n]);
         }
         self.value[n]
     }
 
     /// Accumulate `eta * leaf_weight(row)` into `out` for every row of
     /// the row-major block `rows` (stride `d`): one tree over all rows,
-    /// so this tree's node arrays stay in L1 while rows stream past.
+    /// so this tree's arrays stay in L1 while rows stream past.
     /// `CHAINS` rows are kept in flight so the independent descent
-    /// chains overlap. Callers that score many rows should hand this
-    /// L1-sized row blocks (see `Gbt::predict_margin_rows`): the win of
-    /// tree-outer iteration is node locality, and it only compounds when
-    /// the row block also stays cache-resident across trees.
+    /// chains overlap; the remainder rows walk the heap one at a time.
+    /// Callers that score many rows should hand this L1-sized row blocks
+    /// (see `Gbt::predict_margin_rows`): the win of tree-outer iteration
+    /// is node locality, and it only compounds when the row block also
+    /// stays cache-resident across trees.
     ///
     /// # Panics
     /// Panics if `rows.len() != out.len() * d` or if `d` is narrower than
@@ -442,23 +352,22 @@ impl FlatTree {
             "rows of width {d} for a tree consulting feature {}",
             self.min_width.saturating_sub(1),
         );
-        let tail = if self.heap_value.is_empty() {
-            self.sweep(rows, d, eta, out)
-        } else {
-            self.sweep_heap(rows, d, eta, out)
-        };
+        let tail = self.sweep(rows, d, eta, out);
         for (j, o) in out.iter_mut().enumerate().skip(tail) {
             *o += eta * self.predict_row(&rows[j * d..(j + 1) * d]);
         }
     }
 
-    /// The chained sweep over the perfect-heap form: per descent step,
-    /// three loads (feature, threshold, row gather), one compare, and an
-    /// address computation — no child load, no select. Returns the index
-    /// of the first row left for the scalar remainder loop.
-    fn sweep_heap(&self, rows: &[f64], d: usize, eta: f64, out: &mut [f64]) -> usize {
-        let feature = self.heap_feature.as_slice();
-        let value = self.heap_value.as_slice();
+    /// The chained sweep: [`CHAINS`] descent cursors in flight, every load
+    /// unchecked. Each chain's step is a serial dependence (slot load →
+    /// row gather → compare → next slot), so throughput comes from the
+    /// chains overlapping in the out-of-order window; per-step bounds
+    /// checks would both lengthen that chain and burn the issue slots the
+    /// overlap needs. Returns the index of the first row left for the
+    /// remainder loop.
+    fn sweep(&self, rows: &[f64], d: usize, eta: f64, out: &mut [f64]) -> usize {
+        let feature = self.feature.as_slice();
+        let value = self.value.as_slice();
         let depth = self.depth as usize;
         let mut i = 0;
         while i + CHAINS <= out.len() {
@@ -467,9 +376,9 @@ impl FlatTree {
             for _ in 0..depth {
                 for (j, n) in ns.iter_mut().enumerate() {
                     // SAFETY: after `s < depth` descent steps
-                    // `*n < 2^(s+1) − 1 <= 2^depth − 1 == feature.len()`,
-                    // and `value.len() == 2^(depth+1) − 1 > feature.len()`.
+                    // `*n < 2^(s+1) − 1 <= 2^depth − 1 == feature.len()`.
                     let f = unsafe { *feature.get_unchecked(*n) } as usize;
+                    // SAFETY: `value.len() == 2^(depth+1) − 1 > feature.len()`.
                     let v = unsafe { *value.get_unchecked(*n) };
                     // SAFETY: `f < min_width <= d` (padding slots keep
                     // feature 0, real ones are fitted/validated split
@@ -477,56 +386,12 @@ impl FlatTree {
                     // out.len() * d == rows.len()` — both asserted by
                     // `accumulate_margins`.
                     let x = unsafe { *rows.get_unchecked(base + j * d + f) };
-                    // The recursive walker's own `row[feature] < threshold`
-                    // as a *boolean* (never rewritten to `>=`, which would
-                    // flip the NaN cases): true descends to the left child
-                    // `2n + 1`, false — including NaN on either side — to
-                    // the right child `2n + 2`.
+                    // `<` as a boolean, exactly as in `predict_row`.
                     *n = 2 * *n + 2 - usize::from(x < v);
                 }
             }
             for j in 0..CHAINS {
                 // SAFETY: `ns[j] < 2^(depth+1) − 1 == value.len()`.
-                out[i + j] += eta * unsafe { *value.get_unchecked(ns[j]) };
-            }
-            i += CHAINS;
-        }
-        i
-    }
-
-    /// The chained sweep: [`CHAINS`] descent cursors in flight, every load
-    /// unchecked. Each chain's step is a serial ~13-cycle dependence
-    /// (node load → row gather → compare → child select), so throughput
-    /// comes entirely from the chains overlapping in the out-of-order
-    /// window; per-step bounds checks would both lengthen that chain and
-    /// burn the issue slots the overlap needs. Returns the index of the
-    /// first row left for the scalar remainder loop.
-    fn sweep(&self, rows: &[f64], d: usize, eta: f64, out: &mut [f64]) -> usize {
-        let feature = self.feature.as_slice();
-        let value = self.value.as_slice();
-        let children = self.children.as_slice();
-        let root = self.root as usize;
-        let mut i = 0;
-        while i + CHAINS <= out.len() {
-            let base = i * d;
-            let mut ns = [root; CHAINS];
-            for _ in 0..self.depth {
-                for (j, n) in ns.iter_mut().enumerate() {
-                    // SAFETY: `*n` is `root` or a packed child index, both
-                    // `< len` by the `flatten` invariant on `children`.
-                    let f = unsafe { *feature.get_unchecked(*n) } as usize;
-                    let v = unsafe { *value.get_unchecked(*n) };
-                    let c = unsafe { *children.get_unchecked(*n) };
-                    // SAFETY: `f < min_width <= d` (asserted by the
-                    // caller), and `base + j*d + f < (i + j + 1) * d <=
-                    // out.len() * d == rows.len()` (asserted entry-wise by
-                    // `accumulate_margins`).
-                    let x = unsafe { *rows.get_unchecked(base + j * d + f) };
-                    *n = select_child(c, x < v);
-                }
-            }
-            for j in 0..CHAINS {
-                // SAFETY: `ns[j] < len` as above.
                 out[i + j] += eta * unsafe { *value.get_unchecked(ns[j]) };
             }
             i += CHAINS;
@@ -1055,7 +920,7 @@ mod tests {
                 ..TreeParams::default()
             },
         );
-        let flat = tree.flatten();
+        let flat = tree.flatten().expect("a depth-4 tree has a heap form");
         for row in x.iter_rows() {
             assert_eq!(
                 flat.predict_row(row).to_bits(),
@@ -1072,14 +937,15 @@ mod tests {
     }
 
     #[test]
-    fn flat_single_leaf_tree_is_depth_zero_self_loop() {
+    fn flat_single_leaf_tree_is_a_one_slot_heap() {
         let tree = RegressionTree {
             nodes: vec![TreeNode::Leaf { weight: -1.5 }],
             root: 0,
         };
-        let flat = tree.flatten();
+        let flat = tree.flatten().expect("a single leaf has a heap form");
         assert_eq!(flat.depth, 0);
-        assert_eq!(flat.children[0], pack_children(0, 0));
+        assert!(flat.feature.is_empty());
+        assert_eq!(flat.value, vec![-1.5]);
         assert_eq!(flat.predict_row(&[]).to_bits(), (-1.5f64).to_bits());
         let x = Matrix::from_rows(&[vec![9.0], vec![-9.0], vec![0.0]]);
         let mut margins = vec![0.0; 3];
@@ -1107,7 +973,7 @@ mod tests {
             ],
             root: 2,
         };
-        let flat = tree.flatten();
+        let flat = tree.flatten().expect("a depth-1 tree has a heap form");
         assert_eq!(flat.min_width as usize, WIDE + 1);
         let rows = CHAINS + 3; // chained groups plus remainder lanes
         let mut data = vec![0.0f64; rows * (WIDE + 1)];
@@ -1123,41 +989,43 @@ mod tests {
     }
 
     #[test]
-    fn deep_tree_beyond_heap_limit_sweeps_like_the_recursive_walker() {
-        // A comb of HEAP_DEPTH_MAX + 2 splits exceeds the perfect-heap
-        // padding limit, so `flatten` leaves the heap form empty and the
-        // batch kernel runs the explicit-children sweep — which must
-        // agree with the recursive walker on chained and remainder rows.
-        let deep = (HEAP_DEPTH_MAX + 2) as usize;
-        let mut nodes = Vec::new();
-        for k in 0..deep {
-            // Split k: `x < k` drops to leaf −k, otherwise on to split k+1
-            // (the last split's right child is the terminal leaf).
-            let right = if k + 1 < deep { k + 1 } else { 2 * deep };
-            nodes.push(TreeNode::Split {
-                feature: 0,
-                threshold: k as f64,
-                left: deep + k,
-                right,
-            });
-        }
-        for k in 0..deep {
-            nodes.push(TreeNode::Leaf {
-                weight: -(k as f64),
-            });
-        }
-        nodes.push(TreeNode::Leaf { weight: 99.0 });
-        let tree = RegressionTree { nodes, root: 0 };
-        assert!(tree.depth() > HEAP_DEPTH_MAX as usize);
-        let flat = tree.flatten();
-        assert!(flat.heap_value.is_empty());
-        let rows = 2 * CHAINS + 3; // chained groups plus remainder lanes
-        let data: Vec<f64> = (0..rows).map(|i| i as f64 - 2.5).collect();
-        let mut margins = vec![0.5; rows];
-        flat.accumulate_margins(&data, 1, 2.0, &mut margins);
-        for (i, x) in data.iter().enumerate() {
-            let expected = 0.5 + 2.0 * tree.predict_row(std::slice::from_ref(x));
-            assert_eq!(margins[i].to_bits(), expected.to_bits());
+    fn deep_tree_beyond_heap_limit_has_no_flat_form() {
+        // A comb of HEAP_DEPTH_MAX + 1 splits exceeds the perfect-heap
+        // padding limit, so `flatten` declines it and the ensemble scores
+        // it with the recursive walker (pinned bit-identical at the `Gbt`
+        // level); one level shallower still compiles.
+        let comb = |deep: usize| {
+            let mut nodes = Vec::new();
+            for k in 0..deep {
+                // Split k: `x < k` drops to leaf −k, otherwise on to split
+                // k+1 (the last split's right child is the terminal leaf).
+                let right = if k + 1 < deep { k + 1 } else { 2 * deep };
+                nodes.push(TreeNode::Split {
+                    feature: 0,
+                    threshold: k as f64,
+                    left: deep + k,
+                    right,
+                });
+            }
+            for k in 0..deep {
+                nodes.push(TreeNode::Leaf {
+                    weight: -(k as f64),
+                });
+            }
+            nodes.push(TreeNode::Leaf { weight: 99.0 });
+            RegressionTree { nodes, root: 0 }
+        };
+        let limit = HEAP_DEPTH_MAX as usize;
+        let deep = comb(limit + 1);
+        assert_eq!(deep.depth(), limit + 1);
+        assert!(deep.flatten().is_none());
+        let shallow = comb(limit);
+        let flat = shallow.flatten().expect("a depth-10 tree has a heap form");
+        for x in [-1.0, 0.0, 4.5, 9.0, 10.0, f64::NAN] {
+            assert_eq!(
+                flat.predict_row(&[x]).to_bits(),
+                shallow.predict_row(&[x]).to_bits()
+            );
         }
     }
 
@@ -1182,7 +1050,7 @@ mod tests {
             ],
             root: 2,
         };
-        let flat = tree.flatten();
+        let flat = tree.flatten().expect("a depth-1 tree has a heap form");
         for v in [-1e300, -1.0, 0.0, 1.0, 1e300, f64::NAN] {
             assert_eq!(tree.predict_row(&[v]), 2.0);
             assert_eq!(flat.predict_row(&[v]), 2.0);
@@ -1200,7 +1068,7 @@ mod tests {
             ],
             root: 2,
         };
-        let finite_flat = finite.flatten();
+        let finite_flat = finite.flatten().expect("a depth-1 tree has a heap form");
         assert_eq!(finite.predict_row(&[f64::NAN]), 2.0);
         assert_eq!(finite_flat.predict_row(&[f64::NAN]), 2.0);
     }

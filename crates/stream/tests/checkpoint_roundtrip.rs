@@ -464,6 +464,69 @@ fn infinite_importance_is_rejected_at_parse_time() {
     }
 }
 
+/// `json` with the first number after `key` inside the predictor (the
+/// encoding and model parameters) replaced by `null`.
+fn null_predictor_number(json: &str, key: &str) -> String {
+    let start = json.find("\"predictor\":").expect("a predictor");
+    let at = start
+        + json[start..]
+            .find(key)
+            .unwrap_or_else(|| panic!("no {key} in the predictor"))
+        + key.len();
+    assert!(
+        at < json
+            .find("\"profiles\":")
+            .expect("profiles follow the predictor"),
+        "{key} must be found inside the predictor"
+    );
+    let len = json[at..]
+        .find([',', '}', ']'])
+        .expect("a number is followed by a delimiter");
+    format!("{}null{}", &json[..at], &json[at + len..])
+}
+
+/// Fitted model parameters are finite, JSON writes a non-finite number as
+/// `null`, and the codec reads `null` back as `+∞`. A `null` encoder
+/// bound, logistic coefficient or intercept, GBT leaf weight, split
+/// threshold or base score would otherwise restore cleanly and silently
+/// flip decisions; parsing must reject each as a typed error.
+#[test]
+fn non_finite_model_parameters_are_rejected_at_parse_time() {
+    let lr = small_checkpoint().to_json();
+    let reference = spec(u64::MAX).reference(400, 31);
+    let gbt = StreamEngine::from_reference(
+        &reference,
+        LearnerKind::Gbt,
+        31,
+        config(128, RetrainPolicy::Never),
+    )
+    .unwrap()
+    .checkpoint()
+    .unwrap()
+    .to_json();
+    for json in [&lr, &gbt] {
+        assert!(StreamEngine::restore(EngineCheckpoint::from_json(json).unwrap()).is_ok());
+    }
+    let cases = [
+        (&lr, "\"min\":"),
+        (&lr, "\"max\":"),
+        (&lr, "\"coefficients\":["),
+        (&lr, "\"intercept\":"),
+        (&gbt, "\"min\":"),
+        (&gbt, "\"weight\":"),
+        (&gbt, "\"threshold\":"),
+        (&gbt, "\"base_score\":"),
+    ];
+    for (json, key) in cases {
+        match EngineCheckpoint::from_json(&null_predictor_number(json, key)) {
+            Err(StreamError::Checkpoint(msg)) => {
+                assert!(msg.contains("finite"), "{key}: got {msg}")
+            }
+            other => panic!("{key}: expected a typed Checkpoint error, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn sharded_restore_revalidates_fleet_coherence() {
     let reference = spec(u64::MAX).reference(400, 9);
