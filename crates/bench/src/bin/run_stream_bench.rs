@@ -23,10 +23,11 @@ use cf_density::Kde;
 use cf_learners::{Gbt, GbtConfig, Learner, LogisticRegression};
 use cf_linalg::{vector, Matrix};
 use cf_stream::{
-    AsyncConfig, AsyncEngine, GroupLayout, RetrainPolicy, ShardedEngine, ShardedTuple,
-    StreamEngine, StreamTuple,
+    AsyncConfig, AsyncEngine, GroupLayout, PendingIndex, PendingLabel, RetrainPolicy,
+    ShardedEngine, ShardedTuple, StreamEngine, StreamTuple,
 };
 use cf_telemetry::{shared_sink, NullSink, RingSink, TelemetryEvent};
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -147,11 +148,13 @@ fn conformance_path() -> &'static str {
 /// it is specified by, of the packed conformance-violation kernel (its
 /// portable copy) against the per-projection scalar sum and of the
 /// run-time-dispatched copy (`ConstraintSet::violation`, AVX2 where the
-/// CPU has it) against the portable one, and of the symmetric exact KDE
+/// CPU has it) against the portable one, of the symmetric exact KDE
 /// self-density pass against the per-point loop (`Kde::densities` on the training matrix) — on the
 /// same fitted models and profiles over the same pregenerated blocks,
 /// outside the engine (no window, no counters), so the rows isolate
-/// exactly what the kernel rewrites bought. Every pair is asserted
+/// exactly what the kernel rewrites bought — and of the window's
+/// pending-join index against the `BTreeMap` it replaced, on the same
+/// insert/join/evict sequence. Every pair is asserted
 /// bit-identical before the clock starts. Each row splits its row target
 /// over [`KERNEL_REPS`] timed repetitions, interleaved with those of the
 /// rows it is compared with, and reports the fastest, so a preempted
@@ -210,6 +213,70 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
     let (kde_n, kde_d) = (480, 16);
     let (x_kde, _, _) = kernel_problem(kde_d, kde_n, 1, 17);
     let kde = Kde::fit(&x_kde);
+    // The pending-join sequence of delayed_gbt_k8's shape: window 4,096,
+    // batch 1,024, labels 6k–16k tuples late (5% never), and the pending
+    // bound that workload configures. Each batch evicts its 1,024 ids'
+    // predecessors 4,096 back, then joins the labels due; every delay
+    // outlives the window, so every join goes through the index.
+    let (join_window, join_batch, join_batches) = (4_096u64, 1_024, 96);
+    let join_bound = 16_000 - join_window as usize + 2 * join_batch;
+    let join_feedback: Vec<Vec<u64>> =
+        pregenerate_delayed(delayed_spec(6_000, 16_000), join_batches, join_batch)
+            .into_iter()
+            .map(|(_, feedback)| feedback.iter().map(|f| f.id).collect())
+            .collect();
+    let join_ops = |batch: usize| {
+        let served = (batch * join_batch) as u64..((batch + 1) * join_batch) as u64;
+        let evicted = served.filter_map(|id| id.checked_sub(join_window));
+        (evicted, &join_feedback[batch])
+    };
+    let parked = |id: u64| PendingLabel {
+        id,
+        group: (id % 8) as u8,
+        decision: ((id >> 3) & 1) as u8,
+    };
+    // One pass of the sequence through each index; returns the operations
+    // run and what every join found.
+    let ring_pass = || {
+        let mut index = PendingIndex::new(join_bound);
+        let (mut ops, mut joined) = (0, Vec::new());
+        for batch in 0..join_batches {
+            let (evicted, feedback) = join_ops(batch);
+            for id in evicted {
+                index.insert(parked(id));
+                ops += 1;
+            }
+            for &id in feedback {
+                joined.push(index.take(id));
+            }
+            ops += feedback.len();
+        }
+        (ops, joined)
+    };
+    let btree_pass = || {
+        let mut index: BTreeMap<u64, (u8, u8)> = BTreeMap::new();
+        let (mut ops, mut joined) = (0, Vec::new());
+        for batch in 0..join_batches {
+            let (evicted, feedback) = join_ops(batch);
+            for id in evicted {
+                while index.len() >= join_bound {
+                    index.pop_first();
+                }
+                let entry = parked(id);
+                index.insert(id, (entry.group, entry.decision));
+                ops += 1;
+            }
+            for &id in feedback {
+                joined.push(index.remove(&id).map(|(group, decision)| PendingLabel {
+                    id,
+                    group,
+                    decision,
+                }));
+            }
+            ops += feedback.len();
+        }
+        (ops, joined)
+    };
 
     // Equivalence gates: a kernels row for a kernel that diverged from its
     // reference would be a benchmark of a wrong answer.
@@ -284,6 +351,11 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
             .all(|(a, b)| a.to_bits() == b.to_bits()),
         "symmetric and pointwise KDE self-densities diverged"
     );
+    assert_eq!(
+        ring_pass(),
+        btree_pass(),
+        "pending ring and BTreeMap joins diverged"
+    );
 
     let mut configs = Vec::new();
     // Times one group of kernels that a summary ratio compares. Each of the
@@ -332,6 +404,14 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
                         serde_json::json!({
                             "train_rows": gbt_train_rows,
                             "features": gbt_d,
+                            "repetitions": KERNEL_REPS,
+                        })
+                    } else if name.contains("pending_join") {
+                        serde_json::json!({
+                            "batches": join_batches,
+                            "batch_rows": join_batch,
+                            "window": join_window,
+                            "pending_labels": join_bound,
                             "repetitions": KERNEL_REPS,
                         })
                     } else if name.contains("encode") {
@@ -478,8 +558,22 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
         ],
     );
 
+    // Rows here are index operations: inserts plus joins.
+    let join_target = if quick { 2_000_000 } else { 20_000_000 };
+    let join_rates = rows(
+        join_target,
+        &mut [
+            ("kernels/pending_join_btree", &mut || {
+                black_box(btree_pass()).0
+            }),
+            ("kernels/pending_join_ring", &mut || {
+                black_box(ring_pass()).0
+            }),
+        ],
+    );
+
     let summary = serde_json::json!({
-        "workload": format!("raw batch margins, block={block}, gbt d={gbt_d} (60 trees, depth<=4), logistic d={lr_d}; min-max encodes, d={lr_d} in batches of {encode_batch}; gbt fits, {gbt_train_rows} rows; conformance violations, d={lr_d}, m={profile_m}; exact KDE self-densities, n={kde_n}, d={kde_d}"),
+        "workload": format!("raw batch margins, block={block}, gbt d={gbt_d} (60 trees, depth<=4), logistic d={lr_d}; min-max encodes, d={lr_d} in batches of {encode_batch}; gbt fits, {gbt_train_rows} rows; conformance violations, d={lr_d}, m={profile_m}; exact KDE self-densities, n={kde_n}, d={kde_d}; pending joins, window {join_window}, {join_batches} batches of {join_batch}, bound {join_bound}"),
         "gbt_flat_vs_recursive": gbt_rates[1] / gbt_rates[0],
         "gbt_fit_presorted_vs_reference": fit_rates[1] / fit_rates[0],
         "logistic_tiles_vs_scalar": lr_rates[1] / lr_rates[0],
@@ -488,6 +582,7 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
         "conformance_wide_vs_packed": cc_rates[2] / cc_rates[1],
         "conformance_path": conformance_path(),
         "kde_symmetric_vs_pointwise": kde_rates[1] / kde_rates[0],
+        "pending_ring_vs_btree": join_rates[1] / join_rates[0],
     });
     (configs, summary)
 }

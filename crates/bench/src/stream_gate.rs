@@ -37,15 +37,18 @@ pub const HOST_PROBE: &str = "kernels/logistic_scalar";
 /// `transform_rows` even after paying for the gather's copy (a branchy
 /// in-place loop reads below 1.0), the symmetric exact KDE pass must keep
 /// most of its halved `exp` count, the presorted GBT fit must keep a
-/// clear lead over per-node sorting, and the heap-form GBT scoring kernel
-/// must keep a clear lead over the recursive walker it is pinned to.
-pub const KERNEL_GATES: [(&str, f64); 6] = [
+/// clear lead over per-node sorting, the heap-form GBT scoring kernel
+/// must keep a clear lead over the recursive walker it is pinned to, and
+/// the window's pending-join ring must stay well ahead of the `BTreeMap`
+/// it replaced on the same insert/join/evict sequence.
+pub const KERNEL_GATES: [(&str, f64); 7] = [
     ("conformance_packed_vs_scalar", 1.0),
     ("conformance_wide_vs_packed", 1.2),
     ("encode_in_place_vs_rows", 1.1),
     ("kde_symmetric_vs_pointwise", 1.4),
     ("gbt_fit_presorted_vs_reference", 1.5),
     ("gbt_flat_vs_recursive", 1.5),
+    ("pending_ring_vs_btree", 2.0),
 ];
 
 /// What a gate run printed and which gates failed.

@@ -187,3 +187,21 @@ fn encode_ratio_below_floor_or_missing_fails() {
     set_kernel_ratio(&mut current, key, Some(1.1));
     assert_eq!(failures(&current), Vec::<String>::new());
 }
+
+#[test]
+fn pending_ring_ratio_below_floor_or_missing_fails() {
+    let key = "pending_ring_vs_btree";
+    let mut current = committed();
+    set_kernel_ratio(&mut current, key, Some(1.5));
+    assert_eq!(
+        failures(&current),
+        vec![format!("kernels.{key} = 1.50 < 2.0")]
+    );
+    set_kernel_ratio(&mut current, key, None);
+    assert_eq!(
+        failures(&current),
+        vec![format!("current: no `kernels.{key}` ratio")]
+    );
+    set_kernel_ratio(&mut current, key, Some(2.0));
+    assert_eq!(failures(&current), Vec::<String>::new());
+}

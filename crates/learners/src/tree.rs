@@ -634,7 +634,7 @@ impl PresortedFit {
                         continue;
                     };
                     if gain > best.map_or(0.0, |b| b.0) {
-                        best = Some((gain, feature, 0.5 * (value + next_value)));
+                        best = Some((gain, feature, split_threshold(value, next_value)));
                     }
                 }
             }
@@ -697,6 +697,21 @@ impl PresortedFit {
     }
 }
 
+/// Where a split between adjacent sorted values `value < next_value`
+/// goes: their midpoint, unless rounding puts it outside `(value,
+/// next_value]` — it overflows to `±∞` for values beyond ~8.99e307, and
+/// rounds down to `value` for adjacent floats — in which case
+/// `next_value` itself. Either way `x < threshold` sends `value` left and
+/// `next_value` right, so both children are non-empty.
+fn split_threshold(value: f64, next_value: f64) -> f64 {
+    let mid = 0.5 * (value + next_value);
+    if value < mid && mid <= next_value {
+        mid
+    } else {
+        next_value
+    }
+}
+
 fn build_reference(
     x: &Matrix,
     grad: &[f64],
@@ -743,7 +758,7 @@ fn build_reference(
                 continue;
             };
             if gain > best.map_or(0.0, |b| b.0) {
-                let threshold = 0.5 * (sorted[k].0 + sorted[k + 1].0);
+                let threshold = split_threshold(sorted[k].0, sorted[k + 1].0);
                 best = Some((gain, feature, threshold));
             }
         }
@@ -1097,5 +1112,49 @@ mod tests {
         );
         // Predict by feature 1 regardless of feature 0.
         assert!(tree.predict_row(&[0.5, 0.0]) < tree.predict_row(&[0.5, 1.0]));
+    }
+
+    /// Fit one depth-1 tree with both builders, check they agree bit for
+    /// bit, and return its root threshold after checking the split sends
+    /// `xs[..split]` left and the rest right.
+    fn fitted_threshold(xs: &[f64], ys: &[f64], split: usize) -> f64 {
+        let (x, g, h) = regression_setup(xs, ys);
+        let params = TreeParams {
+            max_depth: 1,
+            lambda: 0.0,
+            min_child_weight: 0.0,
+            ..TreeParams::default()
+        };
+        let presorted = RegressionTree::fit(&x, &g, &h, &params);
+        let reference = RegressionTree::fit_reference(&x, &g, &h, &params);
+        // `Debug` prints every float in round-trip form.
+        assert_eq!(format!("{presorted:?}"), format!("{reference:?}"));
+        let TreeNode::Split { threshold, .. } = presorted.nodes[presorted.root] else {
+            panic!("expected a root split, got {presorted:?}");
+        };
+        let left = xs.iter().filter(|&&v| v < threshold).count();
+        assert_eq!(left, split, "threshold {threshold:e} splits {xs:?}");
+        threshold
+    }
+
+    #[test]
+    fn split_between_huge_values_does_not_overflow() {
+        // 1.2e308 + 1.5e308 overflows, so the midpoint would be +∞.
+        let xs = [1e308, 1.2e308, 1.5e308, 1.7e308];
+        let threshold = fitted_threshold(&xs, &[0.0, 0.0, 1.0, 1.0], 2);
+        assert_eq!(threshold, 1.5e308);
+        let negated: Vec<f64> = xs.iter().rev().map(|v| -v).collect();
+        let threshold = fitted_threshold(&negated, &[0.0, 0.0, 1.0, 1.0], 2);
+        assert_eq!(threshold, -1.2e308);
+    }
+
+    #[test]
+    fn split_between_adjacent_floats_is_not_degenerate() {
+        // 0.5 * (1.0 + next_up(1.0)) rounds down to 1.0.
+        let next = f64::from_bits(1.0f64.to_bits() + 1);
+        let threshold = fitted_threshold(&[0.5, 1.0, next, 2.0], &[0.0, 0.0, 1.0, 1.0], 2);
+        assert_eq!(threshold.to_bits(), next.to_bits());
+        // An ordinary midpoint is kept.
+        assert_eq!(fitted_threshold(&[1.0, 2.0], &[0.0, 1.0], 1), 1.5);
     }
 }

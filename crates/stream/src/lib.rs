@@ -94,7 +94,8 @@ pub use sharded::{
 pub use supervise::{Backoff, RepairConfig, ShardHealth, SupervisorConfig};
 pub use telemetry::StreamMetrics;
 pub use window::{
-    JoinStats, LabelJoin, LabelSlot, PendingLabel, SlidingWindow, SlotMeta, WindowState,
+    JoinStats, LabelJoin, LabelSlot, PendingIndex, PendingLabel, SlidingWindow, SlotMeta,
+    WindowState,
 };
 
 /// Errors surfaced by the streaming subsystem.

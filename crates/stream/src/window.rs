@@ -29,8 +29,15 @@
 //! a ring — that is the invariant that keeps per-tuple ingestion O(1)
 //! (property-checked in this module's tests and load-tested by the
 //! `stream_ingest` benchmark). Joins are O(log n): an id lookup is a
-//! binary search over the decision ring (slot ids are strictly
-//! increasing) or a `BTreeMap` probe of the pending index.
+//! binary search over the decision ring or over the pending index, and an
+//! id outside a structure's id range skips its search altogether.
+//!
+//! Both structures hold ids in strictly increasing order, because the
+//! decision ring evicts slots in id order. So the [`PendingIndex`] is a
+//! ring too: evictions append at the back, a join marks its entry dead
+//! (a tombstone) and pops dead entries off the front, the bound evicts
+//! the oldest *live* entry, and the ring compacts once its tombstones
+//! outnumber its live entries.
 //!
 //! Features live in **one ring arena** with stride `dim` — slot `i`'s
 //! vector is `arena[i*dim..(i+1)*dim]` — so pushing a tuple copies `dim`
@@ -47,7 +54,7 @@
 
 use crate::{Result, StreamError};
 use cf_telemetry::WindowCounters;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// The per-tuple metadata retained in the decision ring (the feature
 /// vector lives in the window's arena, not here).
@@ -91,6 +98,150 @@ pub struct PendingLabel {
     pub group: u8,
     /// The served decision `ŷ`.
     pub decision: u8,
+}
+
+/// One physical entry of the [`PendingIndex`] ring; `live` is false once
+/// the entry has joined (a tombstone).
+#[derive(Debug, Clone, Copy)]
+struct PendingSlot {
+    id: u64,
+    group: u8,
+    decision: u8,
+    live: bool,
+}
+
+/// The bounded pending-join index: decisions evicted from the decision
+/// ring before their label arrived, in strictly increasing id order.
+///
+/// Entries arrive in id order, so the index is an append-at-back ring
+/// searched by binary search. A join marks its entry dead rather than
+/// moving the entries after it; dead entries are popped as soon as they
+/// reach the front, so the front entry is always live, and the ring
+/// compacts once its tombstones outnumber its live entries, so it never
+/// holds more than twice its live count (nor, therefore, twice its
+/// bound). At the bound, inserting evicts the oldest live entry.
+#[derive(Debug, Clone)]
+pub struct PendingIndex {
+    ring: VecDeque<PendingSlot>,
+    live: usize,
+    capacity: usize,
+}
+
+impl PendingIndex {
+    /// An empty index holding at most `capacity` live entries.
+    pub fn new(capacity: usize) -> Self {
+        PendingIndex {
+            ring: VecDeque::new(),
+            live: 0,
+            capacity,
+        }
+    }
+
+    /// The bound on live entries.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Live entries: decisions still awaiting their labels.
+    pub fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Whether no decision is awaiting its label.
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// Park one decision, evicting the oldest live entry first when the
+    /// bound is reached. Returns how many live entries the insert dropped:
+    /// 0 or 1, where a zero-capacity index drops the new entry itself.
+    ///
+    /// # Panics
+    /// Panics if `entry.id` is not greater than the newest id still in the
+    /// ring: entries must arrive in id order.
+    pub fn insert(&mut self, entry: PendingLabel) -> u64 {
+        if self.capacity == 0 {
+            return 1;
+        }
+        if let Some(back) = self.ring.back() {
+            assert!(
+                entry.id > back.id,
+                "pending id {} is not newer than {}",
+                entry.id,
+                back.id
+            );
+        }
+        let mut evicted = 0;
+        while self.live >= self.capacity {
+            // The front entry is live, so this drops the oldest live one.
+            self.ring.pop_front();
+            self.live -= 1;
+            evicted += 1;
+            self.pop_dead_front();
+        }
+        self.ring.push_back(PendingSlot {
+            id: entry.id,
+            group: entry.group,
+            decision: entry.decision,
+            live: true,
+        });
+        self.live += 1;
+        evicted
+    }
+
+    /// Remove and return the live entry for `id`. An id that was never
+    /// inserted, was evicted, or has already been taken yields `None`.
+    pub fn take(&mut self, id: u64) -> Option<PendingLabel> {
+        let (front, back) = (self.ring.front()?.id, self.ring.back()?.id);
+        if id < front || id > back {
+            return None;
+        }
+        // `id <= back`, so the partition point is inside the ring.
+        let pos = self.ring.partition_point(|e| e.id < id);
+        let slot = &mut self.ring[pos];
+        if slot.id != id || !slot.live {
+            return None;
+        }
+        slot.live = false;
+        let taken = PendingLabel {
+            id,
+            group: slot.group,
+            decision: slot.decision,
+        };
+        self.live -= 1;
+        self.pop_dead_front();
+        if self.ring.len() > 2 * self.live {
+            self.ring.retain(|e| e.live);
+        }
+        Some(taken)
+    }
+
+    /// The live entries, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = PendingLabel> + '_ {
+        self.ring.iter().filter(|e| e.live).map(|e| PendingLabel {
+            id: e.id,
+            group: e.group,
+            decision: e.decision,
+        })
+    }
+
+    fn pop_dead_front(&mut self) {
+        while self.ring.front().is_some_and(|e| !e.live) {
+            self.ring.pop_front();
+        }
+    }
+}
+
+/// `offset` steps past ring slot `head`, for `head < capacity` and
+/// `offset <= capacity`: one compare instead of a `%` by a run-time
+/// divisor.
+fn wrap(head: usize, offset: usize, capacity: usize) -> usize {
+    let i = head + offset;
+    if i >= capacity {
+        i - capacity
+    } else {
+        i
+    }
 }
 
 /// Fold a decision-ring slot into (`sign = 1`) or out of (`sign = -1`)
@@ -192,10 +343,9 @@ pub struct SlidingWindow {
     labels: Vec<LabelSlot>,
     label_head: usize,
     label_len: usize,
-    /// Evicted-but-unlabeled decisions awaiting feedback, keyed by tuple
-    /// id (ids are monotonic, so iteration order is eviction order).
-    pending: BTreeMap<u64, (u8, u8)>,
-    pending_capacity: usize,
+    /// Evicted-but-unlabeled decisions awaiting feedback, in id order
+    /// (which is eviction order).
+    pending: PendingIndex,
     joins: JoinStats,
     /// Group-cell count K (the length of `counts`).
     groups: usize,
@@ -231,8 +381,7 @@ impl SlidingWindow {
             labels: Vec::new(),
             label_head: 0,
             label_len: 0,
-            pending: BTreeMap::new(),
-            pending_capacity,
+            pending: PendingIndex::new(pending_capacity),
             joins: JoinStats::default(),
             groups,
             counts: vec![WindowCounters::default(); groups],
@@ -241,8 +390,9 @@ impl SlidingWindow {
 
     /// Insert a scored tuple, evicting the oldest when full. A labeled
     /// tuple joins the label plane immediately; an evicted unlabeled slot
-    /// moves its join key into the pending index. O(log pending) worst
-    /// case, allocation-free in the rings once they have filled.
+    /// moves its join key into the pending index. O(1) amortised,
+    /// allocation-free in the decision and label rings once they have
+    /// filled.
     pub fn push(&mut self, meta: SlotMeta, features: &[f64]) -> Result<()> {
         let g = meta.group as usize;
         if g >= self.groups {
@@ -302,23 +452,18 @@ impl SlidingWindow {
         apply_decision(&mut self.counts[g], &meta, 1);
         self.meta[self.head] = meta;
         self.arena[self.head * self.dim..(self.head + 1) * self.dim].copy_from_slice(features);
-        self.head = (self.head + 1) % self.capacity;
+        self.head = wrap(self.head, 1, self.capacity);
         Ok(())
     }
 
     /// Park an evicted unlabeled decision in the pending index, evicting
-    /// the oldest entry (and counting it) when the bound is reached.
+    /// the oldest live entry (and counting it) when the bound is reached.
     fn remember_pending(&mut self, evicted: SlotMeta) {
-        if self.pending_capacity == 0 {
-            self.joins.pending_evicted += 1;
-            return;
-        }
-        while self.pending.len() >= self.pending_capacity {
-            self.pending.pop_first();
-            self.joins.pending_evicted += 1;
-        }
-        self.pending
-            .insert(evicted.id, (evicted.group, evicted.decision));
+        self.joins.pending_evicted += self.pending.insert(PendingLabel {
+            id: evicted.id,
+            group: evicted.group,
+            decision: evicted.decision,
+        });
     }
 
     /// Push one joined pair into the label ring, evicting the oldest pair
@@ -333,7 +478,7 @@ impl SlidingWindow {
         let evicted = self.labels[self.label_head];
         apply_label(&mut self.counts[evicted.group as usize], &evicted, -1);
         self.labels[self.label_head] = pair;
-        self.label_head = (self.label_head + 1) % self.capacity;
+        self.label_head = wrap(self.label_head, 1, self.capacity);
     }
 
     /// Join one late label by tuple id: an in-ring slot is labeled in
@@ -360,10 +505,10 @@ impl SlidingWindow {
             self.joins.joined += 1;
             return LabelJoin::Joined;
         }
-        if let Some((group, decision)) = self.pending.remove(&id) {
+        if let Some(entry) = self.pending.take(id) {
             self.push_label(LabelSlot {
-                group,
-                decision,
+                group: entry.group,
+                decision: entry.decision,
                 label,
             });
             self.joins.joined += 1;
@@ -380,21 +525,23 @@ impl SlidingWindow {
 
     /// Physical index of the slot holding tuple `id`, if it is still in
     /// the decision ring. O(log len): slot ids are strictly increasing in
-    /// ring order.
+    /// ring order. An id outside the ring's id range (a late label, most
+    /// often) returns at once.
     fn position_of(&self, id: u64) -> Option<usize> {
+        if id < self.oldest_id()? || id > self.newest_id()? {
+            return None;
+        }
         let (mut lo, mut hi) = (0usize, self.len);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if self.meta[(self.head + mid) % self.capacity].id < id {
+            if self.meta[wrap(self.head, mid, self.capacity)].id < id {
                 lo = mid + 1;
             } else {
                 hi = mid;
             }
         }
-        if lo == self.len {
-            return None;
-        }
-        let idx = (self.head + lo) % self.capacity;
+        // `id <= newest`, so the search ends inside the ring.
+        let idx = wrap(self.head, lo, self.capacity);
         (self.meta[idx].id == id).then_some(idx)
     }
 
@@ -405,7 +552,7 @@ impl SlidingWindow {
 
     /// The newest retained tuple's id.
     fn newest_id(&self) -> Option<u64> {
-        (self.len > 0).then(|| self.meta[(self.head + self.len - 1) % self.capacity].id)
+        (self.len > 0).then(|| self.meta[wrap(self.head, self.len - 1, self.capacity)].id)
     }
 
     /// Tuples currently retained in the decision ring.
@@ -440,7 +587,7 @@ impl SlidingWindow {
 
     /// The configured bound on the pending-join index.
     pub fn pending_capacity(&self) -> usize {
-        self.pending_capacity
+        self.pending.capacity()
     }
 
     /// Cumulative join/drop counters (reset on restore, like every
@@ -465,7 +612,7 @@ impl SlidingWindow {
     /// the filling and the wrapped regime.)
     pub fn iter(&self) -> impl Iterator<Item = (SlotMeta, &[f64])> {
         (0..self.len).map(move |i| {
-            let idx = (self.head + i) % self.capacity;
+            let idx = wrap(self.head, i, self.capacity);
             (
                 self.meta[idx],
                 &self.arena[idx * self.dim..(idx + 1) * self.dim],
@@ -475,7 +622,7 @@ impl SlidingWindow {
 
     /// Iterate the label ring's joined pairs, oldest join first.
     pub fn iter_labels(&self) -> impl Iterator<Item = LabelSlot> + '_ {
-        (0..self.label_len).map(move |i| self.labels[(self.label_head + i) % self.capacity])
+        (0..self.label_len).map(move |i| self.labels[wrap(self.label_head, i, self.capacity)])
     }
 
     /// Snapshot the window's logical contents for checkpointing: capacity,
@@ -498,15 +645,7 @@ impl SlidingWindow {
             meta,
             features,
             labels: self.iter_labels().collect(),
-            pending: self
-                .pending
-                .iter()
-                .map(|(&id, &(group, decision))| PendingLabel {
-                    id,
-                    group,
-                    decision,
-                })
-                .collect(),
+            pending: self.pending.iter().collect(),
         }
     }
 
@@ -519,10 +658,11 @@ impl SlidingWindow {
     /// # Errors
     /// Rejects zero capacities, more slots (or joined pairs, or pending
     /// entries) than their bounds, feature buffers that disagree with
-    /// `len × dim`, non-monotonic ids, slots with out-of-range groups
-    /// (`>= groups`) or non-binary labels, and pending entries that
-    /// overlap the decision ring — a corrupted checkpoint fails loudly,
-    /// it never half-loads.
+    /// `len × dim`, non-finite features (ingest rejects them, and JSON
+    /// reads `null` back as `+∞`), non-monotonic ids, slots with
+    /// out-of-range groups (`>= groups`) or non-binary labels, and pending
+    /// entries that overlap the decision ring — a corrupted checkpoint
+    /// fails loudly, it never half-loads.
     pub fn from_state(state: &WindowState, pending_capacity: usize, groups: usize) -> Result<Self> {
         if state.meta.len() > state.capacity {
             return Err(StreamError::Checkpoint(format!(
@@ -537,6 +677,13 @@ impl SlidingWindow {
                 state.features.len(),
                 state.meta.len(),
                 state.dim
+            )));
+        }
+        if let Some(at) = state.features.iter().position(|v| !v.is_finite()) {
+            return Err(StreamError::Checkpoint(format!(
+                "window snapshot feature {} of slot {} is not finite",
+                at % state.dim,
+                at / state.dim
             )));
         }
         if state.labels.len() > state.capacity {
@@ -614,9 +761,8 @@ impl SlidingWindow {
                 )));
             }
             last_pending = Some(entry.id);
-            window
-                .pending
-                .insert(entry.id, (entry.group, entry.decision));
+            // Within the bound (checked above), so nothing is evicted.
+            window.pending.insert(*entry);
         }
         // Replays are restores, not live joins: counters restart at zero.
         window.joins = JoinStats::default();
@@ -874,6 +1020,47 @@ mod tests {
         w.push(slot(1, 0, None, 1, false), &[0.0]).unwrap();
         assert_eq!(w.pending_len(), 0);
         assert_eq!(w.join_stats().pending_evicted, 1);
+    }
+
+    #[test]
+    fn pending_ring_evicts_live_entries_and_bounds_its_tombstones() {
+        let mut index = PendingIndex::new(4);
+        let entry = |id| PendingLabel {
+            id,
+            group: 0,
+            decision: 1,
+        };
+        for id in 0..4 {
+            assert_eq!(index.insert(entry(id)), 0);
+        }
+        // A join in the middle leaves a tombstone; a second label for the
+        // same id finds nothing, as do ids outside the ring's range.
+        assert_eq!(index.take(2), Some(entry(2)));
+        assert_eq!(index.take(2), None);
+        assert_eq!(index.take(9), None);
+        assert_eq!((index.len(), index.ring.len()), (3, 4));
+        // At the bound the oldest *live* entry goes, and only it counts.
+        assert_eq!(index.insert(entry(4)), 0);
+        assert_eq!(index.insert(entry(5)), 1);
+        assert_eq!(index.take(0), None, "evicted");
+        // Joining the front pops it together with the tombstone behind it.
+        assert_eq!(index.take(1), Some(entry(1)));
+        assert_eq!(index.ring.front().map(|e| e.id), Some(3));
+        let ids: Vec<u64> = index.iter().map(|e| e.id).collect();
+        assert_eq!(ids, vec![3, 4, 5]);
+
+        // Interior joins compact the ring before tombstones outnumber the
+        // live entries.
+        let mut index = PendingIndex::new(1_000);
+        for id in 0..1_000 {
+            index.insert(entry(id));
+        }
+        for id in 1..1_000 {
+            assert_eq!(index.take(id), Some(entry(id)));
+            assert!(index.ring.len() <= 2 * index.len(), "after joining {id}");
+        }
+        // Entry 0 and the last tombstone: two is not more than 2 × 1.
+        assert_eq!((index.len(), index.ring.len()), (1, 2));
     }
 
     #[test]

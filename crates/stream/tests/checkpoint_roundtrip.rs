@@ -527,6 +527,30 @@ fn non_finite_model_parameters_are_rejected_at_parse_time() {
     }
 }
 
+/// Ingest rejects non-finite features, and a window feature read back as
+/// `+∞` from a `null` would surface only at the next retrain; restoring
+/// must reject it as a typed error instead.
+#[test]
+fn non_finite_window_feature_is_rejected_at_restore() {
+    let json = small_checkpoint().to_json();
+    let window = json.find("\"window\":").expect("a window");
+    let at = window
+        + json[window..]
+            .find("\"features\":[")
+            .expect("window features")
+        + "\"features\":[".len();
+    let len = json[at..]
+        .find([',', ']'])
+        .expect("a number is followed by a delimiter");
+    let tampered = format!("{}null{}", &json[..at], &json[at + len..]);
+    let ckpt = EngineCheckpoint::from_json(&tampered).expect("the codec reads null as +inf");
+    assert_eq!(ckpt.window.features[0], f64::INFINITY);
+    match StreamEngine::restore(ckpt) {
+        Err(StreamError::Checkpoint(msg)) => assert!(msg.contains("finite"), "got: {msg}"),
+        other => panic!("expected a typed Checkpoint error, got {:?}", other.err()),
+    }
+}
+
 #[test]
 fn sharded_restore_revalidates_fleet_coherence() {
     let reference = spec(u64::MAX).reference(400, 9);
