@@ -253,18 +253,10 @@ impl serde::Serialize for ColumnEncoder {
 impl serde::Deserialize for ColumnEncoder {
     fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
         match v.get_or_err("kind")?.as_str() {
-            Some("minmax") => {
-                let min: f64 = serde::Deserialize::from_value(v.get_or_err("min")?)?;
-                let max: f64 = serde::Deserialize::from_value(v.get_or_err("max")?)?;
-                // The JSON codec reads `null` as `+∞`; an infinite bound
-                // would silently encode the whole column as one constant.
-                if !(min.is_finite() && max.is_finite()) {
-                    return Err(serde::Error::msg(format!(
-                        "min-max bounds must be finite, got [{min}, {max}]"
-                    )));
-                }
-                Ok(ColumnEncoder::MinMax { min, max })
-            }
+            Some("minmax") => Ok(ColumnEncoder::MinMax {
+                min: serde::Deserialize::from_value(v.get_or_err("min")?)?,
+                max: serde::Deserialize::from_value(v.get_or_err("max")?)?,
+            }),
             Some("onehot") => Ok(ColumnEncoder::OneHot {
                 n_levels: serde::Deserialize::from_value(v.get_or_err("n_levels")?)?,
             }),

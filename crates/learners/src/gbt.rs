@@ -145,10 +145,8 @@ impl serde::Serialize for Gbt {
 // Manual Deserialize: fields alone don't make a valid ensemble — every
 // tree's split feature indices must stay inside the declared feature
 // count, or a corrupted checkpoint would pass parsing and then panic with
-// index-out-of-bounds inside `predict_row` at serve time, and the base
-// score must be finite (the JSON codec reads `null` as `+∞`, which would
-// decide every row positive). The flat kernel form is compiled here, after
-// validation — old documents flatten on load.
+// index-out-of-bounds inside `predict_row` at serve time. The flat kernel
+// form is compiled here, after validation — old documents flatten on load.
 impl serde::Deserialize for Gbt {
     fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
         use serde::Deserialize;
@@ -160,12 +158,6 @@ impl serde::Deserialize for Gbt {
             fitted: Deserialize::from_value(v.get_or_err("fitted")?)?,
             flat: Vec::new(),
         };
-        if !gbt.base_score.is_finite() {
-            return Err(serde::Error::msg(format!(
-                "gbt base_score must be finite, got {}",
-                gbt.base_score
-            )));
-        }
         for (i, tree) in gbt.trees.iter().enumerate() {
             if let Some(f) = tree.max_feature_index() {
                 if f >= gbt.n_features {

@@ -158,17 +158,7 @@ impl serde::Deserialize for ModelState {
     fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
         let model = v.get_or_err("model")?;
         match v.get_or_err("kind")?.as_str() {
-            Some("LR") => {
-                let m: LogisticRegression = serde::Deserialize::from_value(model)?;
-                // The JSON codec reads `null` as `+∞`, which would decide
-                // (nearly) every row the same way without any error.
-                if !m.intercept().is_finite() || m.coefficients().iter().any(|c| !c.is_finite()) {
-                    return Err(serde::Error::msg(
-                        "logistic coefficients and intercept must be finite",
-                    ));
-                }
-                Ok(ModelState::Logistic(m))
-            }
+            Some("LR") => Ok(ModelState::Logistic(serde::Deserialize::from_value(model)?)),
             Some("XGB") => Ok(ModelState::Gbt(serde::Deserialize::from_value(model)?)),
             _ => Err(serde::Error::msg("unknown model kind")),
         }

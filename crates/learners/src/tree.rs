@@ -126,22 +126,11 @@ impl RegressionTree {
         self.nodes.len()
     }
 
-    /// Validate that every leaf weight and split threshold is finite,
-    /// every split's children are in-bounds and the node graph reachable
-    /// from `root` is a tree (no index cycles), so a corrupted serialised
-    /// tree fails loudly at deserialisation time instead of looping or
-    /// panicking inside `predict_row`, or scoring with the `+∞` the JSON
-    /// codec reads a `null` as.
+    /// Validate that every split's children are in-bounds and the node
+    /// graph reachable from `root` is a tree (no index cycles), so a
+    /// corrupted serialised tree fails loudly at deserialisation time
+    /// instead of looping or panicking inside `predict_row`.
     fn validate(&self) -> Result<(), String> {
-        for (i, node) in self.nodes.iter().enumerate() {
-            let (what, v) = match node {
-                TreeNode::Leaf { weight } => ("weight", *weight),
-                TreeNode::Split { threshold, .. } => ("threshold", *threshold),
-            };
-            if !v.is_finite() {
-                return Err(format!("tree node {i} {what} must be finite, got {v}"));
-            }
-        }
         if self.root >= self.nodes.len() {
             return Err(format!(
                 "tree root {} out of bounds for {} nodes",

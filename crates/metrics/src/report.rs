@@ -15,7 +15,9 @@ pub struct FairnessReport {
     pub learner: String,
     /// `DI* = min(DI, 1/DI)` — higher is fairer.
     pub di_star: f64,
-    /// Raw disparate impact `SR_U / SR_W` (∞ serialises as `null`).
+    /// Raw disparate impact `SR_U / SR_W`. `∞` serialises as `null`, which
+    /// does not decode back: JSON text never reads as a non-finite `f64`.
+    /// Nothing outside this module's round-trip test reads a report back.
     pub disparate_impact: f64,
     /// `AOD* = 1 − |AOD|` — higher is fairer.
     pub aod_star: f64,

@@ -23,10 +23,11 @@
 //! [`StreamError::CheckpointVersion`] — a restore never panics on external
 //! input and never half-loads.
 //!
-//! One format caveat: JSON has no NaN, and the shim encodes non-finite
-//! floats as `null` (read back as +∞). All engine-produced state is finite,
-//! but a stream that feeds literal NaN *feature values* into the window
-//! would not round-trip them — don't do that.
+//! One format caveat: JSON has no NaN or infinity. The codec writes a
+//! non-finite float as `null` and refuses to read `null` (or an
+//! overflowing literal) as one, so a document carrying such a value fails
+//! to parse rather than restoring a stand-in. All engine-produced state is
+//! finite: ingest rejects non-finite features.
 
 use crate::drift::{DriftAlert, PageHinkleyState};
 use crate::engine::StreamConfig;

@@ -371,9 +371,20 @@ impl SlidingWindow {
                 "the window needs 1..=256 group cells, not {groups}"
             )));
         }
+        // Reserved up front, as `with_capacity` would, but a capacity no
+        // allocator can serve (say, from a tampered checkpoint) is an
+        // error rather than an abort.
+        let (mut meta, mut arena) = (Vec::new(), Vec::new());
+        meta.try_reserve_exact(capacity)
+            .and_then(|()| arena.try_reserve_exact(capacity.saturating_mul(dim)))
+            .map_err(|e| {
+                StreamError::Schema(format!(
+                    "a window of {capacity} slots × {dim} features cannot be allocated: {e}"
+                ))
+            })?;
         Ok(SlidingWindow {
-            meta: Vec::with_capacity(capacity),
-            arena: Vec::with_capacity(capacity.saturating_mul(dim)),
+            meta,
+            arena,
             dim,
             capacity,
             head: 0,
@@ -658,11 +669,11 @@ impl SlidingWindow {
     /// # Errors
     /// Rejects zero capacities, more slots (or joined pairs, or pending
     /// entries) than their bounds, feature buffers that disagree with
-    /// `len × dim`, non-finite features (ingest rejects them, and JSON
-    /// reads `null` back as `+∞`), non-monotonic ids, slots with
-    /// out-of-range groups (`>= groups`) or non-binary labels, and pending
-    /// entries that overlap the decision ring — a corrupted checkpoint
-    /// fails loudly, it never half-loads.
+    /// `len × dim`, non-finite features (ingest rejects them), non-monotonic
+    /// ids, slots, label pairs or pending entries with out-of-range groups
+    /// (`>= groups`) or non-binary labels or decisions, and pending entries
+    /// that overlap the decision ring — a corrupted checkpoint fails
+    /// loudly, it never half-loads.
     pub fn from_state(state: &WindowState, pending_capacity: usize, groups: usize) -> Result<Self> {
         if state.meta.len() > state.capacity {
             return Err(StreamError::Checkpoint(format!(
@@ -706,8 +717,9 @@ impl SlidingWindow {
             // separately below — a slot labeled via late feedback has no
             // label-ring pairing with its own push, so the pairing cannot
             // be re-derived), so it must repeat push's validation: an
-            // in-range group, a binary label, and strictly increasing ids
-            // (the invariant the feedback binary search relies on).
+            // in-range group, a binary label and decision, and strictly
+            // increasing ids (the invariant the feedback binary search
+            // relies on).
             if meta.group as usize >= groups {
                 return Err(StreamError::BadGroup(meta.group));
             }
@@ -715,6 +727,12 @@ impl SlidingWindow {
                 if label >= 2 {
                     return Err(StreamError::BadLabel(label));
                 }
+            }
+            if meta.decision >= 2 {
+                return Err(StreamError::Checkpoint(format!(
+                    "window slot {} has non-binary decision {}",
+                    meta.id, meta.decision
+                )));
             }
             if last_id.is_some_and(|p| meta.id <= p) {
                 return Err(StreamError::Checkpoint(format!(
@@ -733,6 +751,12 @@ impl SlidingWindow {
             }
             if pair.label >= 2 {
                 return Err(StreamError::BadLabel(pair.label));
+            }
+            if pair.decision >= 2 {
+                return Err(StreamError::Checkpoint(format!(
+                    "label pair has non-binary decision {}",
+                    pair.decision
+                )));
             }
             window.push_label(*pair);
         }

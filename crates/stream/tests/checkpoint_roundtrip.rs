@@ -443,8 +443,8 @@ fn ragged_profile_is_rejected_at_parse_time() {
     }
 }
 
-/// JSON has no infinity: the codec writes a non-finite number as `null`
-/// and reads `null` back as `+∞`. An infinite constraint importance would
+/// JSON has no infinity: the codec writes a non-finite number as `null`,
+/// and `null` is not a number. An infinite constraint importance would
 /// make every violation of its profile NaN, which never exceeds the
 /// conformance threshold, so the cell would silently stop flagging;
 /// parsing must reject it as a typed error instead.
@@ -485,11 +485,11 @@ fn null_predictor_number(json: &str, key: &str) -> String {
     format!("{}null{}", &json[..at], &json[at + len..])
 }
 
-/// Fitted model parameters are finite, JSON writes a non-finite number as
-/// `null`, and the codec reads `null` back as `+∞`. A `null` encoder
-/// bound, logistic coefficient or intercept, GBT leaf weight, split
-/// threshold or base score would otherwise restore cleanly and silently
-/// flip decisions; parsing must reject each as a typed error.
+/// Fitted model parameters are finite, and JSON writes a non-finite number
+/// as `null`. A `null` encoder bound, logistic coefficient or intercept,
+/// GBT leaf weight, split threshold or base score would otherwise restore
+/// with some stand-in value and silently flip decisions; parsing must
+/// reject each as a typed error.
 #[test]
 fn non_finite_model_parameters_are_rejected_at_parse_time() {
     let lr = small_checkpoint().to_json();
@@ -527,27 +527,118 @@ fn non_finite_model_parameters_are_rejected_at_parse_time() {
     }
 }
 
-/// Ingest rejects non-finite features, and a window feature read back as
-/// `+∞` from a `null` would surface only at the next retrain; restoring
-/// must reject it as a typed error instead.
+/// `json` with the number that follows the first `key` after `within`
+/// replaced by `value`.
+fn set_number(json: &str, within: &str, key: &str, value: &str) -> String {
+    let start = json.find(within).unwrap_or_else(|| panic!("no {within}"));
+    let at = start
+        + json[start..]
+            .find(key)
+            .unwrap_or_else(|| panic!("no {key} in {within}"))
+        + key.len();
+    let len = json[at..]
+        .find([',', '}', ']'])
+        .expect("a number is followed by a delimiter");
+    format!("{}{value}{}", &json[..at], &json[at + len..])
+}
+
+/// Ingest rejects non-finite features, and a window feature that was not
+/// finite would surface only at the next retrain. JSON cannot carry one,
+/// so a `null` fails to parse; a checkpoint built in memory can, so
+/// restoring must reject it as a typed error too.
 #[test]
 fn non_finite_window_feature_is_rejected_at_restore() {
     let json = small_checkpoint().to_json();
-    let window = json.find("\"window\":").expect("a window");
-    let at = window
-        + json[window..]
-            .find("\"features\":[")
-            .expect("window features")
-        + "\"features\":[".len();
-    let len = json[at..]
-        .find([',', ']'])
-        .expect("a number is followed by a delimiter");
-    let tampered = format!("{}null{}", &json[..at], &json[at + len..]);
-    let ckpt = EngineCheckpoint::from_json(&tampered).expect("the codec reads null as +inf");
-    assert_eq!(ckpt.window.features[0], f64::INFINITY);
+    let tampered = set_number(&json, "\"window\":", "\"features\":[", "null");
+    match EngineCheckpoint::from_json(&tampered) {
+        Err(StreamError::Checkpoint(msg)) => assert!(msg.contains("finite"), "got: {msg}"),
+        other => panic!("expected a typed Checkpoint error, got {other:?}"),
+    }
+    let mut ckpt = small_checkpoint();
+    ckpt.window.features[0] = f64::INFINITY;
     match StreamEngine::restore(ckpt) {
         Err(StreamError::Checkpoint(msg)) => assert!(msg.contains("finite"), "got: {msg}"),
         other => panic!("expected a typed Checkpoint error, got {:?}", other.err()),
+    }
+}
+
+/// A served decision is binary. A window slot holding another one would
+/// move into the pending-join index once evicted unlabeled, and the engine
+/// would then write a checkpoint its own restore refuses; a label pair
+/// holding one would count in no cell. Restoring must reject both.
+#[test]
+fn non_binary_window_decisions_are_rejected_at_restore() {
+    let json = small_checkpoint().to_json();
+    for within in ["\"meta\":[", "\"labels\":["] {
+        let tampered = set_number(&json, within, "\"decision\":", "7");
+        let ckpt = EngineCheckpoint::from_json(&tampered).expect("7 is a valid u8");
+        match StreamEngine::restore(ckpt) {
+            Err(StreamError::Checkpoint(msg)) => {
+                assert!(msg.contains("non-binary decision 7"), "{within}: got {msg}")
+            }
+            other => panic!(
+                "{within}: expected a typed Checkpoint error, got {:?}",
+                other.err()
+            ),
+        }
+    }
+}
+
+/// An integer field decodes only inside its type's range: a cast would
+/// saturate `-1` into group 0 and silently move the slot to another cell.
+#[test]
+fn out_of_range_integers_are_rejected_at_parse_time() {
+    let json = small_checkpoint().to_json();
+    for (key, value) in [
+        ("\"group\":", "-1"),
+        ("\"group\":", "256"),
+        ("\"id\":", "-1"),
+        ("\"id\":", "1e30"),
+    ] {
+        let tampered = set_number(&json, "\"meta\":[", key, value);
+        match EngineCheckpoint::from_json(&tampered) {
+            Err(StreamError::Checkpoint(_)) => {}
+            other => panic!("{key}{value}: expected a typed Checkpoint error, got {other:?}"),
+        }
+    }
+}
+
+/// A window is reserved up front at its configured capacity. A capacity
+/// no allocator can serve must fail the restore typed, not abort the
+/// process.
+#[test]
+fn unallocatable_window_is_a_typed_error() {
+    let json = small_checkpoint().to_json();
+    let huge = "1000000000000000";
+    let tampered = json
+        .replacen("\"window\":128", &format!("\"window\":{huge}"), 1)
+        .replacen("\"capacity\":128", &format!("\"capacity\":{huge}"), 1);
+    assert_eq!(
+        tampered.matches(huge).count(),
+        2,
+        "config and window capacity"
+    );
+    let ckpt = EngineCheckpoint::from_json(&tampered).unwrap();
+    match StreamEngine::restore(ckpt) {
+        Err(StreamError::Schema(msg)) => assert!(msg.contains("allocated"), "got: {msg}"),
+        other => panic!("expected a typed Schema error, got {:?}", other.err()),
+    }
+}
+
+/// The parser recurses once per nesting level; a document nested deeper
+/// than the codec's bound must fail typed rather than overflow the stack.
+#[test]
+fn deeply_nested_documents_are_typed_errors() {
+    let deep = "[".repeat(100_000);
+    for result in [
+        EngineCheckpoint::from_json(&deep).map(drop),
+        ShardedCheckpoint::from_json(&deep).map(drop),
+        EngineCheckpoint::from_json(&format!("{{\"version\":5,\"schema\":{deep}")).map(drop),
+    ] {
+        match result {
+            Err(StreamError::Checkpoint(msg)) => assert!(msg.contains("nesting"), "got: {msg}"),
+            other => panic!("expected a typed Checkpoint error, got {other:?}"),
+        }
     }
 }
 

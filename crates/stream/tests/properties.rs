@@ -4,11 +4,21 @@
 //! naive oracle — a `VecDeque` decision ring searched linearly, a
 //! `VecDeque` label ring, a `BTreeMap` pending index and counters
 //! recomputed from scratch — which must agree after every step.
+//!
+//! Then the decoders under tampering: engine and sharded checkpoints and
+//! an audit trail, with every numeric leaf replaced and with random
+//! truncations and byte flips, must decode or fail with a typed error —
+//! never panic, and never read `null` or an overflowing literal as a
+//! number.
 
+use cf_datasets::stream::{DriftStream, DriftStreamSpec};
+use cf_learners::LearnerKind;
 use cf_stream::{
-    JoinStats, LabelJoin, LabelSlot, PendingIndex, PendingLabel, SlidingWindow, SlotMeta,
-    StreamError, WindowCounters, WindowState,
+    EngineCheckpoint, JoinStats, LabelFeedback, LabelJoin, LabelSlot, PendingIndex, PendingLabel,
+    RepairConfig, RetrainPolicy, ShardedCheckpoint, ShardedEngine, ShardedTuple, SlidingWindow,
+    SlotMeta, StreamConfig, StreamEngine, StreamError, StreamTuple, WindowCounters, WindowState,
 };
+use confair_core::confair::{AlphaMode, ConFairConfig};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -311,5 +321,255 @@ proptest! {
             .map(|(&id, &(group, decision))| PendingLabel { id, group, decision })
             .collect();
         prop_assert_eq!(live, expected);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Tampered documents: a checkpoint or audit trail decodes or fails typed.
+// ---------------------------------------------------------------------------
+
+/// Keys whose number may legitimately be `null`: a window slot's pending
+/// `label` and an alert explanation's per-cell rates are `Option`s that
+/// replay does not recompute. (`label` is also the key of a label pair's
+/// required label; a `null` there still fails, but this loop cannot tell
+/// the two apart by key.)
+const OPTIONAL_KEYS: &[&str] = &["label", "selection_rate", "violation_rate"];
+
+fn stream_spec(drift_onset: u64) -> DriftStreamSpec {
+    DriftStreamSpec {
+        drift_onset,
+        ..Default::default()
+    }
+}
+
+fn small_config(ladder: bool) -> StreamConfig {
+    StreamConfig {
+        window: 48,
+        pending_labels: 16,
+        di_floor: 0.8,
+        floor_min_window: 24,
+        floor_cooldown: 100,
+        retrain: RetrainPolicy::OnAlert { min_window: 32 },
+        repair: RepairConfig {
+            ladder,
+            tier_patience: 1,
+            recovery_hold: 1,
+            ..Default::default()
+        },
+        confair: ConFairConfig {
+            alpha: AlphaMode::Fixed {
+                alpha_u: 2.0,
+                alpha_w: 1.0,
+            },
+            ..Default::default()
+        },
+        ..Default::default()
+    }
+}
+
+/// `n` drifting tuples; every third one leaves its label for later.
+fn tuples(stream: &mut DriftStream, n: usize) -> Vec<StreamTuple> {
+    let mut batch = StreamTuple::rows_from_dataset(&stream.next_batch(n)).unwrap();
+    for t in batch.iter_mut().step_by(3) {
+        t.label = None;
+    }
+    batch
+}
+
+/// The documents every tampering is tried on, by kind: logistic, GBT and
+/// 2-shard checkpoints whose windows hold labeled and pending slots, and
+/// the audit trail of a drifting stream repaired by the ladder.
+fn document(kind: usize) -> &'static str {
+    static DOCS: std::sync::OnceLock<[String; 4]> = std::sync::OnceLock::new();
+    &DOCS.get_or_init(|| {
+        let reference = stream_spec(u64::MAX).reference(300, 5);
+        let engine_checkpoint = |learner| {
+            let mut engine =
+                StreamEngine::from_reference(&reference, learner, 5, small_config(false)).unwrap();
+            let mut stream = DriftStream::new(stream_spec(u64::MAX), 7);
+            engine.ingest(&tuples(&mut stream, 96)).unwrap();
+            engine.checkpoint().unwrap().to_json()
+        };
+        let mut sharded = ShardedEngine::from_reference(
+            &reference,
+            LearnerKind::Logistic,
+            5,
+            small_config(false),
+            2,
+        )
+        .unwrap();
+        let mut stream = DriftStream::new(stream_spec(u64::MAX), 9);
+        let batch: Vec<ShardedTuple> = tuples(&mut stream, 192)
+            .into_iter()
+            .enumerate()
+            .map(|(i, tuple)| ShardedTuple {
+                shard: (i % 2) as u32,
+                tuple,
+            })
+            .collect();
+        sharded.ingest(&batch).unwrap();
+
+        let drifting = stream_spec(100).reference(300, 5);
+        let mut engine =
+            StreamEngine::from_reference(&drifting, LearnerKind::Logistic, 5, small_config(true))
+                .unwrap();
+        let ring = std::sync::Arc::new(std::sync::Mutex::new(cf_telemetry::RingSink::new(1 << 12)));
+        engine.set_sink(ring.clone());
+        let mut stream = DriftStream::new(stream_spec(100), 11);
+        for round in 0..6 {
+            let batch = tuples(&mut stream, 64);
+            let first_id = engine.ingest(&batch).unwrap().first_id;
+            let late: Vec<LabelFeedback> = (0..64)
+                .step_by(6)
+                .map(|i| LabelFeedback {
+                    id: first_id + i,
+                    label: (i % 2) as u8,
+                })
+                .collect();
+            engine.feedback(&late).unwrap();
+            if round == 2 {
+                engine.checkpoint().unwrap();
+            }
+        }
+        let trail = ring
+            .lock()
+            .unwrap()
+            .events()
+            .iter()
+            .map(|e| serde_json::to_string(e).unwrap())
+            .collect::<Vec<_>>()
+            .join("\n");
+        [
+            engine_checkpoint(LearnerKind::Logistic),
+            engine_checkpoint(LearnerKind::Gbt),
+            sharded.checkpoint().unwrap().to_json(),
+            trail,
+        ]
+    })[kind]
+}
+
+/// Byte spans of every number literal outside a string, each with the
+/// key of the field or array it sits in.
+fn number_leaves(json: &str) -> Vec<(std::ops::Range<usize>, &str)> {
+    let bytes = json.as_bytes();
+    let mut leaves = Vec::new();
+    let (mut in_string, mut escaped) = (false, false);
+    let (mut string_start, mut key) = (0, "");
+    let mut i = 0;
+    while i < bytes.len() {
+        let b = bytes[i];
+        if in_string {
+            if escaped {
+                escaped = false;
+            } else if b == b'\\' {
+                escaped = true;
+            } else if b == b'"' {
+                in_string = false;
+                if bytes.get(i + 1) == Some(&b':') {
+                    key = &json[string_start..i];
+                }
+            }
+        } else if b == b'"' {
+            in_string = true;
+            string_start = i + 1;
+        } else if b == b'-' || b.is_ascii_digit() {
+            let start = i;
+            while i < bytes.len()
+                && matches!(bytes[i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+            {
+                i += 1;
+            }
+            leaves.push((start..i, key));
+            continue;
+        }
+        i += 1;
+    }
+    leaves
+}
+
+/// Decode a tampered document of kind `doc` the way its reader does; a
+/// checkpoint that parses is also restored. Returns whether the parse (or
+/// replay) failed with a typed error.
+fn decode(doc: usize, text: &str) -> bool {
+    let parsed = match doc {
+        0 | 1 => EngineCheckpoint::from_json(text).map(|c| {
+            let _ = StreamEngine::restore(c);
+        }),
+        2 => ShardedCheckpoint::from_json(text).map(|c| {
+            let _ = ShardedEngine::restore(c);
+        }),
+        _ => return cf_telemetry::replay(text).is_err(),
+    };
+    if let Err(e) = &parsed {
+        assert!(matches!(
+            e,
+            StreamError::Checkpoint(_) | StreamError::CheckpointVersion { .. }
+        ));
+    }
+    parsed.is_err()
+}
+
+/// Every numeric leaf of every document, set to `null`, to an overflowing
+/// literal and to `-1`: nothing panics, and the first two always fail
+/// typed, except `null` for an `Option` field.
+#[test]
+fn every_numeric_leaf_tampered_decodes_or_fails_typed() {
+    for doc in 0..4 {
+        let json = document(doc);
+        assert!(!decode(doc, json), "document {doc} must decode untampered");
+        let leaves = number_leaves(json);
+        assert!(
+            leaves.len() > 100,
+            "document {doc} has {} leaves",
+            leaves.len()
+        );
+        for (span, key) in leaves {
+            for replacement in ["null", "1e400", "-1"] {
+                let text = format!("{}{replacement}{}", &json[..span.start], &json[span.end..]);
+                let failed = std::panic::catch_unwind(|| decode(doc, &text)).unwrap_or_else(|_| {
+                    panic!(
+                        "document {doc}: `{key}` at byte {} set to {replacement} panicked",
+                        span.start
+                    )
+                });
+                let optional = replacement == "null" && OPTIONAL_KEYS.contains(&key);
+                if replacement != "-1" && !optional {
+                    assert!(
+                        failed,
+                        "document {doc}: `{key}` at byte {} set to {replacement} decoded",
+                        span.start
+                    );
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A truncated document or one with a single byte overwritten decodes
+    /// or fails typed; it never panics.
+    #[test]
+    fn truncated_or_flipped_documents_never_panic(
+        doc in 0usize..4,
+        cut in 0.0f64..1.0,
+        at in 0.0f64..1.0,
+        byte in 0u16..256,
+    ) {
+        let json = document(doc);
+        let mut cut = (cut * json.len() as f64) as usize;
+        while !json.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        let truncated = std::panic::catch_unwind(|| decode(doc, &json[..cut]));
+        prop_assert!(truncated.is_ok(), "document {} truncated at {} panicked", doc, cut);
+
+        let mut bytes = json.as_bytes().to_vec();
+        let at = (at * bytes.len() as f64) as usize;
+        bytes[at] = byte as u8;
+        let flipped = String::from_utf8_lossy(&bytes);
+        let outcome = std::panic::catch_unwind(|| decode(doc, &flipped));
+        prop_assert!(outcome.is_ok(), "document {} with byte {} set to {} panicked", doc, at, byte);
     }
 }

@@ -491,6 +491,24 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_and_out_of_range_numbers_are_parse_errors() {
+        let mut lines = trail_lines();
+        lines.insert(1, "[".repeat(100_000));
+        let err = replay(&lines.join("\n")).unwrap_err();
+        assert!(
+            matches!(&err, ReplayError::Parse { line: 2, message } if message.contains("nesting")),
+            "got {err:?}"
+        );
+        let mut lines = trail_lines();
+        lines[1] = lines[1].replacen("\"di_floor\":0.8", "\"di_floor\":1e400", 1);
+        let err = replay(&lines.join("\n")).unwrap_err();
+        assert!(
+            matches!(&err, ReplayError::Parse { line: 2, message } if message.contains("out of range")),
+            "got {err:?}"
+        );
+    }
+
+    #[test]
     fn jsonl_sink_trail_replays_through_replay_file() {
         let path =
             std::env::temp_dir().join(format!("cf-telemetry-replay-{}.jsonl", std::process::id()));
