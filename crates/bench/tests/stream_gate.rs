@@ -1,7 +1,9 @@
 //! The `check_stream_bench` gates, run against doctored copies of the
-//! committed `BENCH_stream.json`.
+//! committed `BENCH_stream.json`, and the `check_paired_bench` gate, run
+//! on synthetic streambench result lines against the committed
+//! `BENCHMARK.json` bounds.
 
-use cf_bench::stream_gate::{check, HOST_PROBE};
+use cf_bench::stream_gate::{check, paired, HOST_PROBE};
 use serde_json::Value;
 
 fn committed() -> Value {
@@ -62,9 +64,7 @@ fn set_kernel_ratio(doc: &mut Value, key: &str, ratio: Option<f64>) {
 }
 
 fn failures(current: &Value) -> Vec<String> {
-    check(&committed(), current, 0.2)
-        .expect("gate run")
-        .failures
+    check(&committed(), current).expect("gate run").failures
 }
 
 #[test]
@@ -204,4 +204,153 @@ fn pending_ring_ratio_below_floor_or_missing_fails() {
     );
     set_kernel_ratio(&mut current, key, Some(2.0));
     assert_eq!(failures(&current), Vec::<String>::new());
+}
+
+#[test]
+fn nudge_recovery_growth_beyond_the_threshold_fails() {
+    let mut current = committed();
+    let Value::Array(rows) = field(&mut current, "configs") else {
+        panic!("configs is not an array")
+    };
+    let nudge = rows
+        .iter_mut()
+        .find(|r| r.get("name").and_then(Value::as_str) == Some("repair/nudge"))
+        .expect("a repair/nudge row");
+    let Value::Number(us) = field(nudge, "recovery_us") else {
+        panic!("recovery_us is not a number")
+    };
+    *us *= 1.5;
+    assert_eq!(failures(&current), vec!["repair/nudge"]);
+}
+
+fn bounds() -> Value {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCHMARK.json");
+    let text = std::fs::read_to_string(path).expect("read committed BENCHMARK.json");
+    serde_json::from_str(&text).expect("parse committed BENCHMARK.json")
+}
+
+fn names(key: &str) -> Vec<String> {
+    bounds()
+        .get(key)
+        .and_then(Value::as_array)
+        .expect("a bounds list")
+        .iter()
+        .map(|e| {
+            e.get("name")
+                .and_then(Value::as_str)
+                .expect("a name")
+                .to_string()
+        })
+        .collect()
+}
+
+/// One synthetic streambench result line, in the shape `--workload all`
+/// prints: every workload's end-to-end metrics at 4.0, except `key` at
+/// `value` (NaN leaves it out).
+fn line(correct: bool, failed: u64, key: &str, value: f64) -> Value {
+    let mut fields = Vec::new();
+    for workload in names("workloads") {
+        for metric in names("end_to_end") {
+            let name = format!("{workload}.{metric}");
+            let v = if name == key { value } else { 4.0 };
+            if !v.is_nan() {
+                fields.push(format!("\"{name}\": {{\"value\": {v}, \"unit\": \"u\"}}"));
+            }
+        }
+    }
+    let text = format!(
+        "{{\"correct\": {correct}, \"attempted\": 1000, \"failed\": {failed}, \"metrics\": {{{}}}}}",
+        fields.join(", ")
+    );
+    serde_json::from_str(&text).expect("synthetic result line")
+}
+
+const PAIRS: usize = 5;
+
+fn healthy() -> Vec<Value> {
+    (0..PAIRS).map(|_| line(true, 0, "", 0.0)).collect()
+}
+
+/// Every change run with `key` at `value` (NaN drops the metric).
+fn changed(key: &str, value: f64) -> Vec<Value> {
+    (0..PAIRS).map(|_| line(true, 0, key, value)).collect()
+}
+
+fn paired_failures(parent: &[Value], change: &[Value]) -> Vec<String> {
+    paired(&bounds(), parent, change)
+        .expect("gate run")
+        .failures
+}
+
+#[test]
+fn identical_runs_pass() {
+    assert_eq!(
+        paired_failures(&healthy(), &healthy()),
+        Vec::<String>::new()
+    );
+}
+
+#[test]
+fn quarter_lower_throughput_on_one_workload_fails_naming_it() {
+    let failed = paired_failures(&healthy(), &changed("delayed_gbt_k8.tuples_per_sec", 3.0));
+    assert_eq!(failed.len(), 1, "{failed:?}");
+    assert!(
+        failed[0].starts_with("delayed_gbt_k8.tuples_per_sec:"),
+        "{failed:?}"
+    );
+}
+
+#[test]
+fn higher_p50_fails_and_lower_p50_passes() {
+    let key = "steady_lr32.ingest_p50_us";
+    let failed = paired_failures(&healthy(), &changed(key, 5.2));
+    assert_eq!(failed.len(), 1, "{failed:?}");
+    assert!(failed[0].starts_with(key), "{failed:?}");
+    assert_eq!(
+        paired_failures(&healthy(), &changed(key, 2.8)),
+        Vec::<String>::new()
+    );
+}
+
+#[test]
+fn one_slow_pair_of_five_passes() {
+    let mut change = healthy();
+    change[2] = line(true, 0, "restart16.tuples_per_sec", 2.0);
+    assert_eq!(paired_failures(&healthy(), &change), Vec::<String>::new());
+}
+
+#[test]
+fn incorrect_change_run_fails() {
+    let mut change = healthy();
+    change[3] = line(false, 0, "", 0.0);
+    assert_eq!(
+        paired_failures(&healthy(), &change),
+        vec!["change run 3: `correct` is not true"]
+    );
+}
+
+#[test]
+fn higher_failed_share_fails() {
+    let mut change = healthy();
+    change[0] = line(true, 1, "", 0.0);
+    let failed = paired_failures(&healthy(), &change);
+    assert_eq!(failed.len(), 1, "{failed:?}");
+    assert!(failed[0].starts_with("failed ops:"), "{failed:?}");
+    // The same share on both sides passes.
+    assert_eq!(paired_failures(&change, &change), Vec::<String>::new());
+}
+
+#[test]
+fn metric_missing_from_either_side_fails() {
+    let key = "drift_repair16.setup_s";
+    let dropped = changed(key, f64::NAN);
+    let expected = vec![format!("{key}: missing from a parent or change run")];
+    assert_eq!(paired_failures(&healthy(), &dropped), expected);
+    assert_eq!(paired_failures(&dropped, &healthy()), expected);
+}
+
+#[test]
+fn unequal_run_counts_are_an_error() {
+    assert!(paired(&bounds(), &healthy(), &healthy()[1..]).is_err());
+    assert!(paired(&bounds(), &[], &[]).is_err());
 }

@@ -18,7 +18,7 @@ use crate::{projection::Projection, set::ConstraintSet};
 use cf_linalg::{eigen_symmetric, stats, Matrix};
 
 /// Knobs for constraint discovery.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct LearnOptions {
     /// Trim this fraction from each tail when setting bounds (0.0 = strict
     /// min/max, the default — Algorithm 3 relies on bounds being sensitive
@@ -46,6 +46,34 @@ impl LearnOptions {
     /// The configuration used throughout the paper's experiments.
     pub fn paper_default() -> Self {
         Self::default()
+    }
+
+    /// Reject a `bound_quantile` that is not a finite fraction in
+    /// `[0, 0.5]`: [`learn_constraints`] trims that much from each tail,
+    /// and a quantile outside `[0, 1]` panics.
+    pub fn validate(&self) -> Result<(), String> {
+        let q = self.bound_quantile;
+        if (0.0..=0.5).contains(&q) {
+            Ok(())
+        } else {
+            Err(format!("bound_quantile {q} is not a fraction in [0, 0.5]"))
+        }
+    }
+}
+
+impl serde::Deserialize for LearnOptions {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let opts = LearnOptions {
+            bound_quantile: serde::Deserialize::from_value(v.get_or_err("bound_quantile")?)?,
+            max_projections: serde::Deserialize::from_value(v.get_or_err("max_projections")?)?,
+            min_raw_importance: serde::Deserialize::from_value(
+                v.get_or_err("min_raw_importance")?,
+            )?,
+        };
+        // A checkpointed config is learned from on the first retrain after
+        // a restore: reject it here, not there.
+        opts.validate().map_err(serde::Error::msg)?;
+        Ok(opts)
     }
 }
 

@@ -488,6 +488,11 @@ pub(crate) fn validate(ckpt: &EngineCheckpoint) -> Result<()> {
             ckpt.window.capacity, ckpt.config.window
         )));
     }
+    ckpt.config
+        .confair
+        .learn_opts
+        .validate()
+        .map_err(StreamError::Checkpoint)?;
     let groups = ckpt.config.groups;
     if groups == 0 || groups > 256 {
         return Err(StreamError::Checkpoint(format!(

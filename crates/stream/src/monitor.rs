@@ -49,7 +49,7 @@ use cf_telemetry::{
     FeedbackJoinEvent, IngestBatchEvent, ModelSwapEvent, RepairEndEvent, RepairStartEvent,
     SharedSink, SnapshotData, TelemetryEvent, ThresholdChangeEvent, WindowCounters,
 };
-use confair_core::{confair::ConFair, Intervention, Predictor};
+use confair_core::{confair::ConFair, CoreError, Intervention, Predictor};
 use std::borrow::Borrow;
 
 /// A point-in-time fairness reading over the current window. Cell-indexed
@@ -280,7 +280,9 @@ impl Monitor {
     /// Bootstrap the monitoring half from a labeled, fully numeric
     /// reference dataset: size the window and derive per-cell conformance
     /// profiles. (The serving half — training the predictor — is the
-    /// engine constructors' job.)
+    /// engine constructors' job.) A `confair.learn_opts` that
+    /// [`LearnOptions::validate`](cf_conformance::LearnOptions::validate)
+    /// rejects is a [`StreamError::Core`] invalid-configuration error.
     pub fn from_reference(
         reference: &Dataset,
         learner: LearnerKind,
@@ -290,6 +292,11 @@ impl Monitor {
             return Err(StreamError::EmptyReference);
         }
         crate::engine::ensure_all_numeric(reference)?;
+        config
+            .confair
+            .learn_opts
+            .validate()
+            .map_err(|e| StreamError::from_core(CoreError::InvalidConfig(e)))?;
         let window = SlidingWindow::new(
             config.window,
             reference.num_attributes(),

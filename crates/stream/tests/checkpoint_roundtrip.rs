@@ -302,14 +302,14 @@ fn out_of_range_tree_feature_index_is_rejected_at_parse_time() {
 
 /// One cheap fitted engine + checkpoint for the corruption tests.
 fn small_checkpoint() -> EngineCheckpoint {
+    small_checkpoint_of(LearnerKind::Logistic)
+}
+
+fn small_checkpoint_of(learner: LearnerKind) -> EngineCheckpoint {
     let reference = spec(u64::MAX).reference(400, 3);
-    let mut engine = StreamEngine::from_reference(
-        &reference,
-        LearnerKind::Logistic,
-        3,
-        config(128, RetrainPolicy::Never),
-    )
-    .unwrap();
+    let mut engine =
+        StreamEngine::from_reference(&reference, learner, 3, config(128, RetrainPolicy::Never))
+            .unwrap();
     let batch = StreamTuple::rows_from_dataset(&DriftStream::new(spec(u64::MAX), 5).next_batch(96))
         .unwrap();
     engine.ingest(&batch).unwrap();
@@ -355,6 +355,43 @@ fn unusable_alpha_degrees_are_rejected_at_parse_time() {
             other => panic!("{bad}: expected a typed Checkpoint error, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn unusable_bound_quantile_is_rejected_at_parse_time_and_bootstrap() {
+    // Every retrain learns its profiles with the configured trim, and a
+    // quantile outside [0, 1] panics there: a restored engine would never
+    // retrain again. Parsing and bootstrapping reject it instead.
+    let key = "\"bound_quantile\":";
+    for learner in [LearnerKind::Logistic, LearnerKind::Gbt] {
+        let json = small_checkpoint_of(learner).to_json();
+        assert_eq!(json.matches(key).count(), 1, "one bound_quantile field");
+        for bad in ["1e300", "-0.1", "0.75"] {
+            match EngineCheckpoint::from_json(&set_number(&json, key, key, bad)) {
+                Err(StreamError::Checkpoint(msg)) => {
+                    assert!(msg.contains("bound_quantile"), "got: {msg}")
+                }
+                other => panic!("{bad}: expected a typed Checkpoint error, got {other:?}"),
+            }
+        }
+        let trimmed = EngineCheckpoint::from_json(&set_number(&json, key, key, "0.05")).unwrap();
+        assert_eq!(trimmed.config.confair.learn_opts.bound_quantile, 0.05);
+        StreamEngine::restore(trimmed).unwrap();
+    }
+
+    let reference = spec(u64::MAX).reference(400, 3);
+    let bootstrap = |bound_quantile: f64| {
+        let mut config = config(128, RetrainPolicy::Never);
+        config.confair.learn_opts.bound_quantile = bound_quantile;
+        StreamEngine::from_reference(&reference, LearnerKind::Logistic, 3, config)
+    };
+    for bad in [1e300, -0.1, 0.75] {
+        match bootstrap(bad) {
+            Err(StreamError::Core(msg)) => assert!(msg.contains("bound_quantile"), "got: {msg}"),
+            other => panic!("{bad}: expected a typed Core error, got {:?}", other.err()),
+        }
+    }
+    bootstrap(0.05).unwrap();
 }
 
 #[test]

@@ -511,7 +511,9 @@ fn decode(doc: usize, text: &str) -> bool {
 
 /// Every numeric leaf of every document, set to `null`, to an overflowing
 /// literal and to `-1`: nothing panics, and the first two always fail
-/// typed, except `null` for an `Option` field.
+/// typed, except `null` for an `Option` field. `-1` fails typed too where
+/// no negative value is valid and the parser checks the range
+/// (`bound_quantile`).
 #[test]
 fn every_numeric_leaf_tampered_decodes_or_fails_typed() {
     for doc in 0..4 {
@@ -533,7 +535,7 @@ fn every_numeric_leaf_tampered_decodes_or_fails_typed() {
                     )
                 });
                 let optional = replacement == "null" && OPTIONAL_KEYS.contains(&key);
-                if replacement != "-1" && !optional {
+                if (replacement != "-1" || key == "bound_quantile") && !optional {
                     assert!(
                         failed,
                         "document {doc}: `{key}` at byte {} set to {replacement} decoded",
