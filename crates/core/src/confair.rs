@@ -364,6 +364,26 @@ impl ConFair {
         })
     }
 
+    /// Run Algorithm 2 on `train` (tuning α on `validation` if asked) and
+    /// fit the one reweighed `learner` model. [`Intervention::train`] is
+    /// this result, boxed; the stream engine serves it unboxed.
+    pub fn fit(
+        &self,
+        train: &Dataset,
+        validation: &Dataset,
+        learner: LearnerKind,
+    ) -> Result<SingleModelPredictor> {
+        let profile = build_profile(
+            train,
+            self.config.target,
+            self.config.density_filter,
+            &self.config.learn_opts,
+        )?;
+        let (alpha_u, alpha_w) = self.resolve_alpha(&profile, train, validation, learner)?;
+        let weights = profile.weights(alpha_u, alpha_w);
+        SingleModelPredictor::fit(train, learner, Some(&weights))
+    }
+
     /// Resolve the intervention degrees, tuning on validation if requested.
     /// Returns `(α_u, α_w)`.
     pub fn resolve_alpha(
@@ -410,16 +430,7 @@ impl Intervention for ConFair {
         validation: &Dataset,
         learner: LearnerKind,
     ) -> Result<Box<dyn Predictor>> {
-        let profile = build_profile(
-            train,
-            self.config.target,
-            self.config.density_filter,
-            &self.config.learn_opts,
-        )?;
-        let (alpha_u, alpha_w) = self.resolve_alpha(&profile, train, validation, learner)?;
-        let weights = profile.weights(alpha_u, alpha_w);
-        let predictor = SingleModelPredictor::fit(train, learner, Some(&weights))?;
-        Ok(Box::new(predictor))
+        Ok(Box::new(self.fit(train, validation, learner)?))
     }
 }
 

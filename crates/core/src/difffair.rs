@@ -15,7 +15,7 @@ use crate::{
 use cf_conformance::{learn_constraints, ConstraintFamily, LearnOptions};
 use cf_data::{encode::labels_as_f64, CellIndex, Dataset, FeatureEncoding, MAJORITY, MINORITY};
 use cf_density::{densest_in_cell, FilterConfig};
-use cf_learners::{Learner, LearnerKind};
+use cf_learners::{Learner, LearnerKind, ModelState};
 
 /// Configuration for [`DiffFair`].
 #[derive(Debug, Clone, PartialEq)]
@@ -63,8 +63,8 @@ impl DiffFair {
 /// The fitted pair of group models plus their constraint families.
 pub struct DiffFairPredictor {
     encoding: FeatureEncoding,
-    model_w: Option<Box<dyn Learner>>,
-    model_u: Option<Box<dyn Learner>>,
+    model_w: Option<ModelState>,
+    model_u: Option<ModelState>,
     cc_w: ConstraintFamily,
     cc_u: ConstraintFamily,
 }
@@ -127,7 +127,7 @@ fn train_group_model(
     encoding: &FeatureEncoding,
     group: u8,
     learner: LearnerKind,
-) -> Result<Option<Box<dyn Learner>>> {
+) -> Result<Option<ModelState>> {
     let idx = train.group_indices(group);
     if idx.is_empty() {
         return Ok(None);

@@ -6,63 +6,10 @@ use cf_data::{encode::labels_as_f64, Dataset, FeatureEncoding};
 use cf_learners::{Learner, LearnerKind, ModelState};
 use cf_linalg::Matrix;
 
-/// The serialisable state of a checkpointable predictor: the fitted
-/// feature encoding plus the fitted model parameters. Produced by
-/// [`Predictor::state`], consumed by [`SingleModelPredictor::from_state`];
-/// the rebuilt predictor scores bit-identically to the snapshotted one.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct PredictorState {
-    encoding: FeatureEncoding,
-    model: ModelState,
-}
-
-impl PredictorState {
-    /// The fitted feature encoding.
-    pub fn encoding(&self) -> &FeatureEncoding {
-        &self.encoding
-    }
-
-    /// The fitted model parameters.
-    pub fn model(&self) -> &ModelState {
-        &self.model
-    }
-}
-
 /// A trained model (or model ensemble) ready to serve predictions.
 pub trait Predictor: Send {
     /// Hard predictions for every tuple of `data`.
     fn predict(&self, data: &Dataset) -> Result<Vec<u8>>;
-
-    /// Snapshot this predictor's full fitted state for checkpointing, or
-    /// `None` when the predictor is not serialisable (the default —
-    /// ensemble predictors like DiffFair's router do not checkpoint yet).
-    fn state(&self) -> Option<PredictorState> {
-        None
-    }
-
-    /// Raw decision margins straight from a row-major numeric feature
-    /// matrix (one row per tuple, one column per attribute in schema
-    /// order): the pre-threshold scores whose sign is [`Predictor::predict`]
-    /// (`decision == (margin >= 0.0)` bit for bit for learner-backed
-    /// predictors). The streaming fast path: it skips [`Dataset`]
-    /// assembly entirely, and the serving side compares each margin with
-    /// a per-cell cutoff.
-    ///
-    /// `x` is the caller's scratch: an implementation may overwrite it
-    /// (the learner-backed predictor encodes it in place), so its contents
-    /// are unspecified on return.
-    ///
-    /// Only meaningful for predictors trained on all-numeric schemas, and
-    /// **opt-in**: the default rejects the call, because a bare matrix
-    /// carries no group column and a group-routed predictor inheriting a
-    /// permissive default would silently score every row as group 0.
-    fn predict_margin_rows(&self, _x: &mut Matrix) -> Result<Vec<f64>> {
-        Err(crate::CoreError::Unsupported(
-            "this predictor does not expose raw decision margins; \
-             per-cell threshold repair requires a margin-based model"
-                .into(),
-        ))
-    }
 }
 
 /// A fairness intervention: consumes the training/validation splits and a
@@ -84,10 +31,36 @@ pub trait Intervention: Send + Sync {
     ) -> Result<Box<dyn Predictor>>;
 }
 
-/// A single model plus the feature encoding it was trained with.
+/// A single model plus the feature encoding it was trained with: the one
+/// fitted-model type, from fit through serving and retrain to checkpoint.
+/// Its serialised form is the `predictor` field of an engine checkpoint,
+/// and a parsed predictor scores bit-identically to the one written.
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct SingleModelPredictor {
     encoding: FeatureEncoding,
-    model: Box<dyn Learner>,
+    model: ModelState,
+}
+
+// Manual Deserialize: the fields alone do not make a predictor that can
+// score. A model fitted on another width than its encoding emits would
+// fail every batch, so a corrupted or hand-assembled document is refused
+// here, as a typed parse error.
+impl serde::Deserialize for SingleModelPredictor {
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
+        use serde::Deserialize;
+        let predictor = SingleModelPredictor {
+            encoding: Deserialize::from_value(v.get_or_err("encoding")?)?,
+            model: Deserialize::from_value(v.get_or_err("model")?)?,
+        };
+        let (width, features) = (predictor.encoding.width(), predictor.model.n_features());
+        if width != features {
+            return Err(serde::Error::msg(format!(
+                "predictor is inconsistent: encoding width {width}, \
+                 model expects {features} features"
+            )));
+        }
+        Ok(predictor)
+    }
 }
 
 impl SingleModelPredictor {
@@ -102,34 +75,35 @@ impl SingleModelPredictor {
         Ok(Self { encoding, model })
     }
 
+    /// The fitted feature encoding.
+    pub fn encoding(&self) -> &FeatureEncoding {
+        &self.encoding
+    }
+
+    /// The fitted model parameters.
+    pub fn model(&self) -> &ModelState {
+        &self.model
+    }
+
     /// Probability of the positive class for every tuple.
     pub fn predict_proba(&self, data: &Dataset) -> Result<Vec<f64>> {
         let x = self.encoding.transform(data)?;
         Ok(self.model.predict_proba(&x)?)
     }
 
-    /// Rebuild a predictor from a snapshotted [`PredictorState`]. The
-    /// restored predictor's decisions are bit-identical to the original's.
+    /// Raw decision margins straight from a row-major numeric feature
+    /// matrix (one row per tuple, one column per attribute in schema
+    /// order): the pre-threshold scores whose sign is
+    /// [`Predictor::predict`] (`decision == (margin >= 0.0)` bit for bit).
+    /// The streaming fast path: it skips [`Dataset`] assembly entirely,
+    /// and the serving side compares each margin with a per-cell cutoff.
     ///
-    /// # Errors
-    /// Rejects states whose encoding width disagrees with the model's
-    /// feature count (a corrupted or hand-assembled checkpoint).
-    pub fn from_state(state: PredictorState) -> Result<Self> {
-        let width = state.encoding.width();
-        let model_features = match &state.model {
-            ModelState::Logistic(m) => m.coefficients().len(),
-            ModelState::Gbt(m) => m.n_features(),
-        };
-        if width != model_features {
-            return Err(crate::CoreError::Unsupported(format!(
-                "predictor state is inconsistent: encoding width {width}, \
-                 model expects {model_features} features"
-            )));
-        }
-        Ok(Self {
-            encoding: state.encoding,
-            model: state.model.build(),
-        })
+    /// `x` is the caller's scratch: it is encoded in place, so its
+    /// contents are unspecified on return. Only meaningful for predictors
+    /// trained on all-numeric schemas.
+    pub fn predict_margin_rows(&self, x: &mut Matrix) -> Result<Vec<f64>> {
+        self.encoding.transform_rows_in_place(x)?;
+        Ok(self.model.predict_margin(x)?)
     }
 }
 
@@ -137,19 +111,6 @@ impl Predictor for SingleModelPredictor {
     fn predict(&self, data: &Dataset) -> Result<Vec<u8>> {
         let x = self.encoding.transform(data)?;
         Ok(self.model.predict(&x)?)
-    }
-
-    fn state(&self) -> Option<PredictorState> {
-        let model = self.model.state()?;
-        Some(PredictorState {
-            encoding: self.encoding.clone(),
-            model,
-        })
-    }
-
-    fn predict_margin_rows(&self, x: &mut Matrix) -> Result<Vec<f64>> {
-        self.encoding.transform_rows_in_place(x)?;
-        Ok(self.model.predict_margin(x)?)
     }
 }
 
@@ -237,30 +198,14 @@ mod tests {
         // exactly.
         let data = figure1(4);
         let s = split3(&data, SplitRatios::paper_default(), 4);
-        let p = NoIntervention
-            .train(&s.train, &s.validation, LearnerKind::Logistic)
-            .unwrap();
+        let p = SingleModelPredictor::fit(&s.train, LearnerKind::Logistic, None).unwrap();
         let via_dataset = p.predict(&s.test).unwrap();
-        let mut x = s.test.numeric_matrix(None);
         let via_rows: Vec<u8> = p
-            .predict_margin_rows(&mut x.clone())
+            .predict_margin_rows(&mut s.test.numeric_matrix(None))
             .unwrap()
             .into_iter()
             .map(|m| u8::from(m >= 0.0))
             .collect();
         assert_eq!(via_rows, via_dataset);
-
-        // A predictor that does not opt in is rejected, never misrouted.
-        struct Wrap(Box<dyn Predictor>);
-        impl Predictor for Wrap {
-            fn predict(&self, data: &Dataset) -> Result<Vec<u8>> {
-                self.0.predict(data)
-            }
-        }
-        let wrapped = Wrap(p);
-        assert!(matches!(
-            wrapped.predict_margin_rows(&mut x),
-            Err(crate::CoreError::Unsupported(_))
-        ));
     }
 }

@@ -32,9 +32,7 @@ pub mod tuning;
 
 pub use confair::{AlphaMode, ConFair, ConFairConfig, FairnessTarget};
 pub use difffair::{DiffFair, DiffFairConfig};
-pub use intervention::{
-    Intervention, NoIntervention, Predictor, PredictorState, SingleModelPredictor,
-};
+pub use intervention::{Intervention, NoIntervention, Predictor, SingleModelPredictor};
 pub use multimodel::MultiModel;
 pub use pipeline::{evaluate, evaluate_repeated, EvalOutcome, Pipeline};
 pub use tuning::{tune_alpha, TuneResult};
@@ -61,10 +59,6 @@ pub enum CoreError {
         /// Dataset column index of the attribute.
         feature: usize,
     },
-    /// The requested serving path is not supported by this predictor
-    /// (e.g. the group-blind `predict_margin_rows` fast path on a
-    /// group-routed model).
-    Unsupported(String),
     /// A configuration value no training run can use (e.g. an empty α
     /// grid or a negative intervention degree).
     InvalidConfig(String),
@@ -79,7 +73,6 @@ impl std::fmt::Display for CoreError {
             CoreError::NonFinite { row, feature } => {
                 write!(f, "non-finite value in tuple {row}, attribute {feature}")
             }
-            CoreError::Unsupported(what) => write!(f, "unsupported operation: {what}"),
             CoreError::InvalidConfig(what) => write!(f, "invalid configuration: {what}"),
         }
     }

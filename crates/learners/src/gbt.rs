@@ -386,10 +386,6 @@ impl Learner for Gbt {
     fn is_fitted(&self) -> bool {
         self.fitted
     }
-
-    fn state(&self) -> Option<crate::ModelState> {
-        Some(crate::ModelState::Gbt(self.clone()))
-    }
 }
 
 #[cfg(test)]

@@ -101,29 +101,23 @@ pub trait Learner: Send {
 
     /// Whether `fit` has succeeded at least once.
     fn is_fitted(&self) -> bool;
-
-    /// Snapshot the full fitted parameters for checkpointing, or `None`
-    /// for learners that do not support serialisation. The built-in
-    /// logistic and GBT learners both return `Some`; rebuilding via
-    /// [`ModelState::build`] yields a model that scores bit-identically.
-    fn state(&self) -> Option<ModelState> {
-        None
-    }
 }
 
-/// The serialisable parameters of a fitted built-in learner — the model
-/// half of an engine checkpoint. Tagged by learner family so the right
-/// concrete type is rebuilt on restore.
+/// One built-in learner, tagged by family: what [`LearnerKind::build`]
+/// makes, and, once fitted, the model half of an engine checkpoint. Its
+/// [`Learner`] impl dispatches with one `match`, and its serialised form
+/// names the family, so a parsed model scores bit-identically to the one
+/// that was written.
 #[derive(Debug, Clone)]
 pub enum ModelState {
-    /// A fitted [`LogisticRegression`] (coefficients + intercept).
+    /// A [`LogisticRegression`] (coefficients + intercept).
     Logistic(LogisticRegression),
-    /// A fitted [`Gbt`] ensemble (trees + base score).
+    /// A [`Gbt`] ensemble (trees + base score).
     Gbt(Gbt),
 }
 
 impl ModelState {
-    /// Which learner family this state rebuilds.
+    /// Which learner family this is.
     pub fn kind(&self) -> LearnerKind {
         match self {
             ModelState::Logistic(_) => LearnerKind::Logistic,
@@ -131,12 +125,34 @@ impl ModelState {
         }
     }
 
-    /// Rebuild the boxed learner. The restored model's predictions are
-    /// bit-identical to the snapshotted one's.
-    pub fn build(self) -> Box<dyn Learner> {
+    /// How many features the fitted model takes (0 before `fit`).
+    pub fn n_features(&self) -> usize {
         match self {
-            ModelState::Logistic(m) => Box::new(m),
-            ModelState::Gbt(m) => Box::new(m),
+            ModelState::Logistic(m) => m.coefficients().len(),
+            ModelState::Gbt(m) => m.n_features(),
+        }
+    }
+}
+
+impl Learner for ModelState {
+    fn fit(&mut self, x: &Matrix, y: &[f64], weights: Option<&[f64]>) -> Result<()> {
+        match self {
+            ModelState::Logistic(m) => m.fit(x, y, weights),
+            ModelState::Gbt(m) => m.fit(x, y, weights),
+        }
+    }
+
+    fn predict_margin(&self, x: &Matrix) -> Result<Vec<f64>> {
+        match self {
+            ModelState::Logistic(m) => m.predict_margin(x),
+            ModelState::Gbt(m) => m.predict_margin(x),
+        }
+    }
+
+    fn is_fitted(&self) -> bool {
+        match self {
+            ModelState::Logistic(m) => m.is_fitted(),
+            ModelState::Gbt(m) => m.is_fitted(),
         }
     }
 }
@@ -253,10 +269,10 @@ pub enum LearnerKind {
 
 impl LearnerKind {
     /// Instantiate an unfitted learner with default hyperparameters.
-    pub fn build(self) -> Box<dyn Learner> {
+    pub fn build(self) -> ModelState {
         match self {
-            LearnerKind::Logistic => Box::new(LogisticRegression::default()),
-            LearnerKind::Gbt => Box::new(Gbt::default()),
+            LearnerKind::Logistic => ModelState::Logistic(LogisticRegression::default()),
+            LearnerKind::Gbt => ModelState::Gbt(Gbt::default()),
         }
     }
 

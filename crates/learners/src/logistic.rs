@@ -219,10 +219,6 @@ impl Learner for LogisticRegression {
     fn is_fitted(&self) -> bool {
         self.fitted
     }
-
-    fn state(&self) -> Option<crate::ModelState> {
-        Some(crate::ModelState::Logistic(self.clone()))
-    }
 }
 
 #[cfg(test)]

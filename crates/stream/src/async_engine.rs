@@ -50,7 +50,7 @@ use cf_learners::LearnerKind;
 use cf_telemetry::{
     DropEvent, MetricsRegistry, MonitorRestartEvent, SharedSink, TelemetryEvent, WindowCounters,
 };
-use confair_core::Predictor;
+use confair_core::SingleModelPredictor;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicPtr, Ordering};
@@ -339,9 +339,8 @@ impl BoundedQueue {
 /// *absolute* state (full threshold vector, full projection profiles),
 /// never deltas.
 struct Slot<T> {
-    /// Owning pointer to a heap-allocated `T` (boxed so the atomic cell is
-    /// a thin pointer even for a `Box<dyn Predictor>`), or null when
-    /// empty.
+    /// Owning pointer to a heap-allocated `T` (boxed so that one atomic
+    /// pointer swap moves a value of any size), or null when empty.
     ptr: AtomicPtr<T>,
     /// The slot owns a `T` that one thread publishes and another takes or
     /// drops, so it may be shared across threads only when `T: Send` —
@@ -489,7 +488,7 @@ struct Supervision {
 /// Everything the two sides share.
 struct Shared {
     queue: BoundedQueue,
-    model: Slot<Box<dyn Predictor>>,
+    model: Slot<SingleModelPredictor>,
     repair: Slot<RepairOverlay>,
     stats: Mutex<PublishedState>,
     sup: Mutex<Supervision>,
@@ -938,12 +937,10 @@ impl AsyncEngine {
     /// scorer is ahead of.
     ///
     /// # Errors
-    /// [`StreamError::Async`] when the monitor thread is gone;
-    /// [`StreamError::Checkpoint`] when the predictor does not support
-    /// serialisation.
+    /// [`StreamError::Async`] when the monitor thread is gone.
     pub fn checkpoint(&mut self) -> Result<EngineCheckpoint> {
         self.flush()?;
-        self.sup(|sup| {
+        Ok(self.sup(|sup| {
             let monitor = sup
                 .recovery
                 .as_ref()
@@ -953,7 +950,7 @@ impl AsyncEngine {
             // quiescent point the flush above established.
             monitor.emit(crate::checkpoint::checkpoint_event(monitor, "taken"));
             checkpoint_from_parts(self.scorer(), monitor)
-        })
+        }))
     }
 
     /// Shut the pipeline down and reunite the halves into a synchronous
@@ -1212,12 +1209,13 @@ impl AsyncEngine {
         // Every id ever issued is exactly one of: monitored along the
         // surviving lineage (`clone.tuples_seen()`), dropped under
         // backpressure, still queued (the respawned monitor will drain
-        // it), or gone — the gap.
+        // it), lost to an earlier restart's gap, or gone with this one.
         let gap = self
             .scored
             .saturating_sub(self.shared.queue.dropped().tuples)
             .saturating_sub(self.shared.queue.queued_tuple_count())
-            .saturating_sub(monitor.tuples_seen());
+            .saturating_sub(monitor.tuples_seen())
+            .saturating_sub(sup.gap_tuples);
         sup.gap_tuples += gap;
         sup.restarts += 1;
         sup.health = ShardHealth::Live;
@@ -1422,33 +1420,38 @@ mod tests {
 
     #[test]
     fn model_slot_latest_wins_and_frees_unconsumed() {
-        struct Dummy(u8);
-        impl Predictor for Dummy {
-            fn predict(&self, _data: &Dataset) -> confair_core::Result<Vec<u8>> {
-                Ok(vec![self.0])
-            }
-            fn predict_margin_rows(
-                &self,
-                x: &mut cf_linalg::Matrix,
-            ) -> confair_core::Result<Vec<f64>> {
-                Ok(vec![f64::from(self.0); x.rows()])
-            }
-        }
-        let slot: Slot<Box<dyn Predictor>> = Slot::empty();
+        // One-feature logistic models that tell apart by the sign of
+        // their margin at the feature's minimum.
+        let fitted = |positive_low: bool| {
+            let labels = if positive_low {
+                [1, 1, 0, 0]
+            } else {
+                [0, 0, 1, 1]
+            };
+            let data = Dataset::new(
+                "slot",
+                vec!["x".into()],
+                vec![cf_data::Column::Numeric(vec![0.0, 1.0, 2.0, 3.0])],
+                labels.to_vec(),
+                vec![0, 1, 0, 1],
+            )
+            .unwrap();
+            SingleModelPredictor::fit(&data, LearnerKind::Logistic, None).unwrap()
+        };
+        let slot: Slot<SingleModelPredictor> = Slot::empty();
         assert!(slot.take().is_none());
-        slot.publish(Box::new(Dummy(1)));
-        slot.publish(Box::new(Dummy(2)));
+        slot.publish(fitted(false));
+        slot.publish(fitted(true));
         let taken = slot.take().expect("a model is pending");
         let mut x = cf_linalg::Matrix::zeros(1, 1);
-        assert_eq!(
-            taken.predict_margin_rows(&mut x).unwrap(),
-            vec![2.0],
+        assert!(
+            taken.predict_margin_rows(&mut x).unwrap()[0] > 0.0,
             "latest wins"
         );
         assert!(slot.take().is_none(), "take empties the slot");
         // Leave one unconsumed for Drop to free (the exactly-once drop
         // accounting is pinned by `slot_drops_every_value_exactly_once`).
-        slot.publish(Box::new(Dummy(3)));
+        slot.publish(fitted(false));
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::engine::StreamConfig;
 use crate::window::WindowState;
 use crate::{Result, StreamError};
 use cf_learners::LearnerKind;
-use confair_core::PredictorState;
+use confair_core::SingleModelPredictor;
 
 /// The checkpoint format version this build writes. Bump on any
 /// incompatible change to the serialised layout.
@@ -89,7 +89,7 @@ pub struct EngineCheckpoint {
     /// drive on-alert retraining.
     pub config: StreamConfig,
     /// The fitted model parameters and feature encoding.
-    pub predictor: PredictorState,
+    pub predictor: SingleModelPredictor,
     /// Conformance profiles per (group, label) cell, flattened
     /// group-major: cell `(g, y)` at index `g*2 + y`, `groups*2` entries
     /// in all (for the binary layout:

@@ -35,7 +35,7 @@ use cf_data::{
 };
 use cf_learners::LearnerKind;
 use cf_telemetry::{MetricsRegistry, SharedSink, WindowCounters};
-use confair_core::{confair::ConFair, confair::ConFairConfig, Intervention};
+use confair_core::confair::{ConFair, ConFairConfig};
 use std::borrow::Borrow;
 
 /// One arriving observation: features in the reference schema's column
@@ -291,7 +291,7 @@ impl StreamEngine {
         let monitor = Monitor::from_reference(reference, learner, config)?;
         let split = split3_stratified(reference, SplitRatios::paper_default(), seed);
         let predictor = ConFair::new(monitor.config().confair.clone())
-            .train(&split.train, &split.validation, learner)
+            .fit(&split.train, &split.validation, learner)
             .map_err(StreamError::from_core)?;
         let scorer = Scorer::new(monitor.schema().to_vec(), predictor);
         Ok(StreamEngine {
@@ -529,11 +529,10 @@ impl StreamEngine {
     /// storm.
     ///
     /// # Errors
-    /// [`StreamError::Checkpoint`] when the predictor does not support
-    /// serialisation (only the built-in single-model ConFair predictor
-    /// does today).
+    /// None today: a served predictor always serialises. The `Result`
+    /// stays so that callers keep one signature across engine kinds.
     pub fn checkpoint(&self) -> Result<EngineCheckpoint> {
-        let ckpt = checkpoint_from_parts(&self.scorer, &self.monitor)?;
+        let ckpt = checkpoint_from_parts(&self.scorer, &self.monitor);
         self.monitor
             .emit(crate::checkpoint::checkpoint_event(&self.monitor, "taken"));
         Ok(ckpt)
@@ -558,8 +557,6 @@ impl StreamEngine {
             ckpt.config.pending_labels,
             ckpt.config.groups,
         )?;
-        let predictor = confair_core::SingleModelPredictor::from_state(ckpt.predictor)
-            .map_err(|e| StreamError::Checkpoint(e.to_string()))?;
         // The checkpoint stores profiles flat in (group, label)-major
         // order: cell (g, y) at index g*2 + y. `validate` pinned the
         // counts to `groups*2` profiles and `groups` detectors.
@@ -572,7 +569,7 @@ impl StreamEngine {
             .iter()
             .map(|state| PageHinkley::from_state(ckpt.config.detector, state))
             .collect();
-        let mut scorer = Scorer::new(ckpt.schema.clone(), Box::new(predictor));
+        let mut scorer = Scorer::new(ckpt.schema.clone(), ckpt.predictor);
         let ladder = RepairLadder {
             active: RepairTier::from_index(ckpt.repair_tier),
             batches_in_tier: ckpt.repair_batches_in_tier,
@@ -707,19 +704,13 @@ impl StreamEngine {
 /// the sync engine (which borrows its own halves) and the async engine
 /// (which pairs its local scorer with the monitor clone the background
 /// thread hands back at a quiescent point).
-pub(crate) fn checkpoint_from_parts(
-    scorer: &Scorer,
-    monitor: &Monitor,
-) -> Result<EngineCheckpoint> {
-    let predictor = scorer.state().ok_or_else(|| {
-        StreamError::Checkpoint("this engine's predictor does not support checkpointing".into())
-    })?;
-    Ok(EngineCheckpoint {
+pub(crate) fn checkpoint_from_parts(scorer: &Scorer, monitor: &Monitor) -> EngineCheckpoint {
+    EngineCheckpoint {
         version: crate::checkpoint::CHECKPOINT_VERSION,
         schema: monitor.schema.clone(),
         learner: monitor.learner,
         config: monitor.config.clone(),
-        predictor,
+        predictor: scorer.predictor().clone(),
         profiles: monitor
             .profiles
             .iter()
@@ -739,7 +730,7 @@ pub(crate) fn checkpoint_from_parts(
         repair_recovery_streak: monitor.ladder.recovery_streak,
         repair_projection: monitor.ladder.projection,
         repair_work_us: monitor.ladder.work_us(),
-    })
+    }
 }
 
 /// Validate a whole batch against a schema of width `d` and `groups`

@@ -140,7 +140,7 @@ pub enum StreamError {
     },
     /// A checkpoint is malformed, internally inconsistent, or unusable
     /// (e.g. truncated JSON, a window snapshot wider than its schema, or a
-    /// predictor that does not support checkpointing).
+    /// model fitted on another width than its feature encoding).
     Checkpoint(String),
     /// A checkpoint was written by an incompatible format version.
     CheckpointVersion {

@@ -49,7 +49,7 @@ use cf_telemetry::{
     FeedbackJoinEvent, IngestBatchEvent, ModelSwapEvent, RepairEndEvent, RepairStartEvent,
     SharedSink, SnapshotData, TelemetryEvent, ThresholdChangeEvent, WindowCounters,
 };
-use confair_core::{confair::ConFair, CoreError, Intervention, Predictor};
+use confair_core::{confair::ConFair, CoreError, SingleModelPredictor};
 use std::borrow::Borrow;
 
 /// A point-in-time fairness reading over the current window. Cell-indexed
@@ -193,7 +193,7 @@ pub struct ObserveOutcome {
     /// owns publication: the sync engine installs it into its scorer
     /// before returning, the async engine's monitor thread publishes it
     /// through the atomically-swapped model slot.
-    pub model: Option<Box<dyn Predictor>>,
+    pub model: Option<SingleModelPredictor>,
     /// A repair overlay the ladder published this batch (thresholds
     /// nudged, projection toggled, or artifacts reset by a successful
     /// retrain). Like `model`, the caller owns delivery: the sync engine
@@ -666,7 +666,7 @@ impl Monitor {
     /// Shared verbatim by the legacy retrain-on-alert path and the
     /// ladder's tier 3, so both produce the same trail bytes and the same
     /// degraded-mode semantics.
-    fn run_retrain_episode(&mut self) -> Result<Box<dyn Predictor>> {
+    fn run_retrain_episode(&mut self) -> Result<SingleModelPredictor> {
         self.emit(TelemetryEvent::RepairStart(RepairStartEvent {
             at_tuple: self.seen,
             tier: "confair_retrain".into(),
@@ -723,7 +723,7 @@ impl Monitor {
     /// no trail events of its own; a failure counts in
     /// `cf_stream_retrain_failures_total`, whether an episode or
     /// `StreamEngine::retrain_now` made the attempt.
-    pub(crate) fn retrain_attempt(&mut self) -> Result<Box<dyn Predictor>> {
+    pub(crate) fn retrain_attempt(&mut self) -> Result<SingleModelPredictor> {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.retrain()))
             .unwrap_or_else(|payload| {
                 Err(StreamError::RetrainPanicked(panic_text(payload.as_ref())))
@@ -750,7 +750,7 @@ impl Monitor {
     fn ladder_step(
         &mut self,
         snapshot: &FairnessSnapshot,
-    ) -> (Option<Result<Box<dyn Predictor>>>, Option<RepairOverlay>) {
+    ) -> (Option<Result<SingleModelPredictor>>, Option<RepairOverlay>) {
         let repair = self.config.repair;
         let verdict = snapshot.passes_di_floor();
         let unhealthy = verdict == Some(false) && self.window.len() >= self.config.floor_min_window;
@@ -1045,7 +1045,7 @@ impl Monitor {
     /// subset (the stream's new normal), reset the drift detectors, and
     /// return the replacement predictor for the caller to install into its
     /// scorer.
-    pub fn retrain(&mut self) -> Result<Box<dyn Predictor>> {
+    pub fn retrain(&mut self) -> Result<SingleModelPredictor> {
         #[cfg(feature = "fault-injection")]
         if let Some(faults) = self.faults.as_ref().and_then(|p| p.retrain.as_ref()) {
             match faults.on_attempt() {
@@ -1071,7 +1071,7 @@ impl Monitor {
         }
         let split = split3_stratified(&data, SplitRatios::paper_default(), self.seen);
         let predictor = ConFair::new(self.config.confair.clone())
-            .train(&split.train, &split.validation, self.learner)
+            .fit(&split.train, &split.validation, self.learner)
             .map_err(StreamError::from_core)?;
         self.profiles = learn_profiles(&data, &self.config);
         for detector in &mut self.detectors {

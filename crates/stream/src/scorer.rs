@@ -1,5 +1,5 @@
-//! The serving half of the engine split: feature encoding + predictor +
-//! recycled scratch matrix, and nothing else.
+//! The serving half of the engine split: the fitted predictor (feature
+//! encoding + model) and a recycled scratch matrix, and nothing else.
 //!
 //! [`Scorer`] is the latency-critical path distilled out of the old
 //! monolithic `StreamEngine`: it turns a validated micro-batch into hard
@@ -14,21 +14,22 @@
 //! ## The decision rule
 //!
 //! Every batch is decided through one rule: the predictor's raw margins
-//! ([`Predictor::predict_margin_rows`]) are compared per tuple against the
-//! installed [`RepairOverlay`], `margin - conformance_gap[cell] >=
-//! threshold[cell]`. The monitor's repair ladder (see [`crate::repair`])
-//! publishes the per-cell thresholds and, at tier 2, the conformance
-//! profiles behind the gap. The identity overlay (no thresholds, no
-//! projection) reduces the rule to `margin - 0.0 >= 0.0`, which is
-//! `margin >= 0.0` for every margin including −0.0 and NaN — exactly the
-//! built-in learners' `predict`. Outside a repair episode the rule costs
-//! one compare per tuple on top of the margins.
+//! ([`SingleModelPredictor::predict_margin_rows`]) are compared per tuple
+//! against the installed [`RepairOverlay`],
+//! `margin - conformance_gap[cell] >= threshold[cell]`. The monitor's
+//! repair ladder (see [`crate::repair`]) publishes the per-cell thresholds
+//! and, at tier 2, the conformance profiles behind the gap. The identity
+//! overlay (no thresholds, no projection) reduces the rule to
+//! `margin - 0.0 >= 0.0`, which is `margin >= 0.0` for every margin
+//! including −0.0 and NaN — exactly the built-in learners' `predict`.
+//! Outside a repair episode the rule costs one compare per tuple on top
+//! of the margins.
 
 use crate::engine::StreamTuple;
 use crate::repair::RepairOverlay;
 use crate::{Result, StreamError};
 use cf_linalg::Matrix;
-use confair_core::{Predictor, PredictorState};
+use confair_core::SingleModelPredictor;
 use std::borrow::Borrow;
 
 /// The allocation-free scoring half of a stream engine: schema, fitted
@@ -41,7 +42,7 @@ use std::borrow::Borrow;
 /// half; the scorer only mirrors the monitor's published repair overlay.
 pub struct Scorer {
     schema: Vec<String>,
-    predictor: Box<dyn Predictor>,
+    predictor: SingleModelPredictor,
     /// Recycled backing buffer for the per-batch feature matrix, so the
     /// steady-state scoring path allocates nothing per tuple.
     scratch: Vec<f64>,
@@ -52,7 +53,7 @@ pub struct Scorer {
 
 impl Scorer {
     /// A scorer over `schema` serving `predictor`.
-    pub fn new(schema: Vec<String>, predictor: Box<dyn Predictor>) -> Self {
+    pub fn new(schema: Vec<String>, predictor: SingleModelPredictor) -> Self {
         Scorer {
             schema,
             predictor,
@@ -109,7 +110,7 @@ impl Scorer {
     /// Swap in a replacement predictor (the publication side of a retrain).
     /// Takes effect for the next [`Scorer::score`] call; the scorer's
     /// scratch buffer, schema, and repair overlay are untouched.
-    pub fn install(&mut self, predictor: Box<dyn Predictor>) {
+    pub fn install(&mut self, predictor: SingleModelPredictor) {
         self.predictor = predictor;
     }
 
@@ -131,9 +132,9 @@ impl Scorer {
         self.repair.projection.is_some()
     }
 
-    /// Snapshot the predictor's fitted state for checkpointing, or `None`
-    /// when the predictor does not support serialisation.
-    pub fn state(&self) -> Option<PredictorState> {
-        self.predictor.state()
+    /// The served predictor: its encoding and model parameters are the
+    /// model half of a checkpoint.
+    pub fn predictor(&self) -> &SingleModelPredictor {
+        &self.predictor
     }
 }

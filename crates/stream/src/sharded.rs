@@ -31,6 +31,7 @@ use crate::engine::{
 };
 use crate::monitor::{FairnessSnapshot, FeedbackOutcome};
 use crate::repair::RepairTier;
+use crate::scorer::Scorer;
 use crate::telemetry::StreamMetrics;
 use crate::{Result, StreamError};
 use cf_telemetry::{MetricsRegistry, SharedSink, WindowCounters};
@@ -387,15 +388,10 @@ impl<E: Shard> Sharded<E> {
 
 impl ShardedEngine {
     /// Bootstrap `n_shards` engines from one shared reference dataset.
-    /// Every shard trains from the same reference with the same seed, so
-    /// all shards start from identical models and profiles.
-    ///
-    /// Bootstrap cost is `n_shards` full ConFair runs (`Predictor` holds
-    /// unclonable trained state, so identical engines are re-derived
-    /// rather than copied) — a one-time cost, off the serving path. For
-    /// expensive references, bootstrap per-shard engines yourself (in
-    /// parallel, or from per-shard references) and use
-    /// [`ShardedEngine::from_engines`].
+    /// All shards start from identical models and profiles, so the
+    /// bootstrap costs one ConFair run and one profiling pass, copied into
+    /// every shard. For per-shard references, bootstrap per-shard engines
+    /// yourself and use [`ShardedEngine::from_engines`].
     pub fn from_reference(
         reference: &cf_data::Dataset,
         learner: cf_learners::LearnerKind,
@@ -406,9 +402,14 @@ impl ShardedEngine {
         if n_shards == 0 {
             return Err(StreamError::NoShards);
         }
+        let (scorer, monitor) =
+            StreamEngine::from_reference(reference, learner, seed, config)?.into_parts();
         Self::from_shards(
             (0..n_shards)
-                .map(|_| StreamEngine::from_reference(reference, learner, seed, config.clone()))
+                .map(|_| {
+                    let scorer = Scorer::new(scorer.schema().to_vec(), scorer.predictor().clone());
+                    StreamEngine::from_parts(scorer, monitor.clone())
+                })
                 .collect::<Result<Vec<_>>>()?,
         )
     }

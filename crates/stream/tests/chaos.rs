@@ -524,27 +524,27 @@ proptest! {
             &reference, LearnerKind::Logistic, 31, config(window, RetrainPolicy::Never),
         ).unwrap();
         let plan = FaultPlan::seeded(seed);
-        // Clones share the plan's counters, so the test can watch the
-        // schedule burn down from outside the engine.
-        let deaths = plan.monitor.clone();
-        let fired = |d: &Option<MonitorPanics>| d.as_ref().map_or(0, MonitorPanics::fired);
-        let scheduled = deaths.as_ref().map_or(0, MonitorPanics::scheduled);
+        let scheduled = plan.monitor.as_ref().map_or(0, MonitorPanics::scheduled);
         let mut sick = make();
         sick.inject_faults(plan);
+        let (trail, sink) = ring();
+        sick.set_sink(sink);
         let mut faulted = AsyncEngine::from_engine(
             sick,
             AsyncConfig { supervisor: fast_supervisor(8), ..AsyncConfig::default() },
         );
         let mut clean = AsyncEngine::from_engine(make(), AsyncConfig::default());
 
-        // Deaths are scheduled by *observed* batch count, so they can
-        // fire arbitrarily late in wall-clock terms. Keep feeding until
-        // the whole schedule has provably fired and then a full window
-        // rotation (plus a margin for the respawn rollback) of fresh
-        // labelled tuples has passed with no further death — including
-        // none during the final flush drain.
+        // Deaths are scheduled by *observed* batch count, so they fire
+        // arbitrarily late in wall-clock terms, and the supervisor sees a
+        // death only at the next ingest or flush. The respawn fixes the
+        // gap, which can include the batch being served as it notices. So
+        // what must pass before the windows can agree is a full window
+        // rotation (plus a margin) of tuples served after the *last
+        // respawn*, once every scheduled death has been respawned — and no
+        // respawn during the final flush drain.
         let mut stream = DriftStream::new(spec(u64::MAX), seed);
-        let mut last_fired = 0;
+        let mut restarts = 0;
         let mut fresh = 0u64;
         let mut guard = 0;
         loop {
@@ -556,30 +556,46 @@ proptest! {
             let b = clean.ingest(&batch).unwrap();
             prop_assert_eq!(a, b, "the model never swapped, so decisions match");
             fresh += 48;
-            if fired(&deaths) != last_fired {
-                last_fired = fired(&deaths);
+            if faulted.monitor_restarts() != restarts {
+                restarts = faulted.monitor_restarts();
                 fresh = 0;
                 continue;
             }
-            if fired(&deaths) == scheduled && fresh >= window as u64 + 192 {
+            if restarts == scheduled && fresh >= window as u64 + 192 {
                 faulted.flush().unwrap();
                 clean.flush().unwrap();
-                if fired(&deaths) == last_fired {
+                if faulted.monitor_restarts() == restarts {
                     break;
                 }
-                // A death fired while the flush drained: its respawn
-                // rolled back to a pre-death clone, so rotate again.
-                last_fired = fired(&deaths);
+                // A respawn during the flush drain rolled back to a
+                // pre-death clone, so rotate again.
+                restarts = faulted.monitor_restarts();
                 fresh = 0;
             }
         }
 
-        prop_assert_eq!(faulted.monitor_lag(), 0);
+        // On failure, say where each respawn resumed and what it lost.
+        let diagnosis = format!(
+            "restarts (gap_tuples, resumed_from): {:?}; tuples_monitored faulted {} clean {}",
+            events_of(&trail).iter().filter_map(|e| match e {
+                TelemetryEvent::MonitorRestart(r) => Some((r.gap_tuples, r.resumed_from)),
+                _ => None,
+            }).collect::<Vec<_>>(),
+            faulted.tuples_monitored(),
+            clean.tuples_monitored(),
+        );
+        prop_assert_eq!(faulted.monitor_lag(), 0, "{}", diagnosis);
         prop_assert_eq!(clean.monitor_gap_tuples(), 0, "the twin saw everything");
+        // Every scored tuple was monitored or lost to exactly one gap.
+        prop_assert_eq!(
+            faulted.tuples_monitored() + faulted.monitor_gap_tuples(),
+            faulted.tuples_scored(),
+            "{}", diagnosis
+        );
         // The window has fully rotated past every gap: the two engines'
         // windowed state — counters and the snapshot computed from them —
         // is byte-identical again.
-        prop_assert_eq!(faulted.window_counts(), clean.window_counts());
+        prop_assert_eq!(faulted.window_counts(), clean.window_counts(), "{}", diagnosis);
         prop_assert_eq!(faulted.snapshot(), clean.snapshot());
     }
 }

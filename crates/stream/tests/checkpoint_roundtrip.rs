@@ -564,6 +564,36 @@ fn non_finite_model_parameters_are_rejected_at_parse_time() {
     }
 }
 
+/// A model must take exactly as many features as its encoding emits. A
+/// logistic model short of one coefficient, or a GBT ensemble declaring
+/// one feature more than the encoding has, would fail every batch it
+/// scores, so the document must be refused as a typed error instead of
+/// restoring an engine that cannot serve.
+#[test]
+fn model_width_disagreeing_with_the_encoding_is_rejected() {
+    let lr = small_checkpoint().to_json();
+    let gbt = small_checkpoint_of(LearnerKind::Gbt).to_json();
+    for json in [&lr, &gbt] {
+        assert!(StreamEngine::restore(EngineCheckpoint::from_json(json).unwrap()).is_ok());
+    }
+    let at = lr.find("\"coefficients\":[").expect("a logistic model") + "\"coefficients\":[".len();
+    let first = lr[at..].find(',').expect("at least two coefficients");
+    let short = format!("{}{}", &lr[..at], &lr[at + first + 1..]);
+    let start = gbt.find("\"n_features\":").expect("a GBT model") + "\"n_features\":".len();
+    let len = gbt[start..].find([',', '}']).expect("a delimiter");
+    let n: usize = gbt[start..start + len].parse().expect("an integer");
+    let wide = format!("{}{}{}", &gbt[..start], n + 1, &gbt[start + len..]);
+    for (name, tampered) in [("logistic", &short), ("gbt", &wide)] {
+        match EngineCheckpoint::from_json(tampered).and_then(StreamEngine::restore) {
+            Err(StreamError::Checkpoint(_)) => {}
+            other => panic!(
+                "{name}: expected a typed Checkpoint error, got {:?}",
+                other.err()
+            ),
+        }
+    }
+}
+
 /// `json` with the number that follows the first `key` after `within`
 /// replaced by `value`.
 fn set_number(json: &str, within: &str, key: &str, value: &str) -> String {

@@ -13,40 +13,32 @@ use cf_datasets::stream::DriftStreamSpec;
 use cf_learners::LearnerKind;
 use cf_linalg::Matrix;
 use cf_stream::{Scorer, StreamTuple};
-use confair_core::{Predictor, PredictorState, SingleModelPredictor};
+use confair_core::{Predictor, SingleModelPredictor};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 
 const FEATURES: usize = 3;
 
-/// The schema and fitted state of `learner` trained on a stationary
+/// The schema and fitted predictor of `learner` trained on a stationary
 /// drift-stream reference.
-fn fitted(learner: LearnerKind) -> (Vec<String>, PredictorState) {
+fn fitted(learner: LearnerKind) -> (Vec<String>, SingleModelPredictor) {
     let spec = DriftStreamSpec {
         n_features: FEATURES,
         ..DriftStreamSpec::default()
     };
     let reference = spec.reference(600, 5);
     let predictor = SingleModelPredictor::fit(&reference, learner, None).unwrap();
-    (
-        reference.column_names().to_vec(),
-        predictor.state().unwrap(),
-    )
+    (reference.column_names().to_vec(), predictor)
 }
 
-fn predictor(state: &PredictorState) -> Box<dyn Predictor> {
-    Box::new(SingleModelPredictor::from_state(state.clone()).unwrap())
-}
-
-/// Decide `rows` through an identity-overlay scorer and through
-/// `predict` on the assembled `Dataset`, each with its own copy of the
-/// predictor.
+/// Decide `rows` through an identity-overlay scorer serving a copy of
+/// `predictor` and through `predict` on the assembled `Dataset`.
 fn both_paths(
     schema: &[String],
-    state: &PredictorState,
+    predictor: &SingleModelPredictor,
     rows: &[StreamTuple],
 ) -> (Vec<u8>, Vec<u8>) {
-    let mut scorer = Scorer::new(schema.to_vec(), predictor(state));
+    let mut scorer = Scorer::new(schema.to_vec(), predictor.clone());
     let via_scorer = scorer.score(rows).unwrap();
     let columns = (0..schema.len())
         .map(|j| Column::Numeric(rows.iter().map(|t| t.features[j]).collect()))
@@ -59,13 +51,17 @@ fn both_paths(
         rows.iter().map(|t| t.group).collect(),
     )
     .unwrap();
-    let via_dataset = predictor(state).predict(&data).unwrap();
+    let via_dataset = predictor.predict(&data).unwrap();
     (via_scorer, via_dataset)
 }
 
-/// `state` with every numeric field named `key` (at any depth) replaced
-/// by `f` of its old value.
-fn edited(state: &PredictorState, key: &str, f: &dyn Fn(&Value) -> Value) -> PredictorState {
+/// `predictor` with every numeric field named `key` (at any depth)
+/// replaced by `f` of its old value.
+fn edited(
+    predictor: &SingleModelPredictor,
+    key: &str,
+    f: &dyn Fn(&Value) -> Value,
+) -> SingleModelPredictor {
     fn walk(v: &mut Value, key: &str, f: &dyn Fn(&Value) -> Value) {
         match v {
             Value::Object(fields) => {
@@ -81,9 +77,9 @@ fn edited(state: &PredictorState, key: &str, f: &dyn Fn(&Value) -> Value) -> Pre
             _ => {}
         }
     }
-    let mut v = state.to_value();
+    let mut v = predictor.to_value();
     walk(&mut v, key, f);
-    PredictorState::from_value(&v).unwrap()
+    SingleModelPredictor::from_value(&v).unwrap()
 }
 
 /// `n` rows whose feature `j` is `+scale` when bit `j` of the row index
@@ -101,9 +97,9 @@ fn clamped_rows(n: usize, scale: f64) -> Vec<StreamTuple> {
         .collect()
 }
 
-fn margins(state: &PredictorState, rows: &[StreamTuple]) -> Vec<f64> {
+fn margins(predictor: &SingleModelPredictor, rows: &[StreamTuple]) -> Vec<f64> {
     let flat = rows.iter().flat_map(|t| t.features.clone()).collect();
-    predictor(state)
+    predictor
         .predict_margin_rows(&mut Matrix::from_vec(rows.len(), FEATURES, flat))
         .unwrap()
 }
@@ -120,12 +116,12 @@ proptest! {
         ),
     ) {
         let learner = if gbt == 1 { LearnerKind::Gbt } else { LearnerKind::Logistic };
-        let (schema, state) = fitted(learner);
+        let (schema, predictor) = fitted(learner);
         let rows: Vec<StreamTuple> = rows
             .into_iter()
             .map(|(group, features)| StreamTuple { features, group, label: None })
             .collect();
-        let (via_scorer, via_dataset) = both_paths(&schema, &state, &rows);
+        let (via_scorer, via_dataset) = both_paths(&schema, &predictor, &rows);
         prop_assert_eq!(via_scorer, via_dataset);
     }
 }
@@ -137,20 +133,20 @@ proptest! {
 /// +0.0.)
 #[test]
 fn logistic_rows_at_a_zero_margin_decide_alike() {
-    let (schema, state) = fitted(LearnerKind::Logistic);
-    let state = edited(&state, "coefficients", &|_| {
+    let (schema, predictor) = fitted(LearnerKind::Logistic);
+    let predictor = edited(&predictor, "coefficients", &|_| {
         let mut coefficients = vec![0.0; FEATURES];
         coefficients[0] = 1.0;
         coefficients.to_value()
     });
-    let state = edited(&state, "intercept", &|_| Value::Number(-1.0));
+    let predictor = edited(&predictor, "intercept", &|_| Value::Number(-1.0));
     for n in 1..=9 {
         let rows = clamped_rows(n, 1e6);
-        for (i, m) in margins(&state, &rows).iter().enumerate() {
+        for (i, m) in margins(&predictor, &rows).iter().enumerate() {
             let expected = if i % 2 == 1 { 0.0f64 } else { -1.0 };
             assert_eq!(m.to_bits(), expected.to_bits(), "batch of {n}, row {i}");
         }
-        let (via_scorer, via_dataset) = both_paths(&schema, &state, &rows);
+        let (via_scorer, via_dataset) = both_paths(&schema, &predictor, &rows);
         assert_eq!(via_scorer, via_dataset, "batch of {n}");
         for (i, &decision) in via_scorer.iter().enumerate() {
             assert_eq!(decision, u8::from(i % 2 == 1), "batch of {n}, row {i}");
@@ -163,16 +159,16 @@ fn logistic_rows_at_a_zero_margin_decide_alike() {
 /// positive on both paths.
 #[test]
 fn gbt_rows_at_signed_zero_margins_decide_alike() {
-    let (schema, state) = fitted(LearnerKind::Gbt);
+    let (schema, predictor) = fitted(LearnerKind::Gbt);
     for zero in [0.0f64, -0.0] {
-        let state = edited(&state, "base_score", &|_| Value::Number(zero));
-        let state = edited(&state, "weight", &|_| Value::Number(zero));
+        let predictor = edited(&predictor, "base_score", &|_| Value::Number(zero));
+        let predictor = edited(&predictor, "weight", &|_| Value::Number(zero));
         for n in 1..=9 {
             let rows = clamped_rows(n, 1e6);
-            assert!(margins(&state, &rows)
+            assert!(margins(&predictor, &rows)
                 .iter()
                 .all(|m| m.to_bits() == zero.to_bits()));
-            let (via_scorer, via_dataset) = both_paths(&schema, &state, &rows);
+            let (via_scorer, via_dataset) = both_paths(&schema, &predictor, &rows);
             assert_eq!(via_scorer, via_dataset, "batch of {n}, zero {zero:?}");
             assert!(
                 via_scorer.iter().all(|&d| d == 1),
