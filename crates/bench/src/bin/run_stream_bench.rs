@@ -28,6 +28,7 @@ use cf_stream::{
 };
 use cf_telemetry::{shared_sink, NullSink, RingSink, TelemetryEvent};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::hint::black_box;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -356,6 +357,35 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
         btree_pass(),
         "pending ring and BTreeMap joins diverged"
     );
+    // The first block of logistic features: fractional doubles like the
+    // window rows that fill most of a checkpoint. Each pass writes them
+    // all, comma-separated, into one reused buffer; the JSON writer's pass
+    // includes the UTF-8 check `to_string` runs once per document.
+    let json_block = &x_lr.as_slice()[..block];
+    let display_pass = |out: &mut String| {
+        out.clear();
+        for x in black_box(json_block) {
+            write!(out, "{x},").expect("writing to a String cannot fail");
+        }
+        json_block.len()
+    };
+    let shortest_pass = |out: &mut Vec<u8>| {
+        out.clear();
+        for &x in black_box(json_block) {
+            serde_json::write_f64(out, x);
+            out.push(b',');
+        }
+        black_box(std::str::from_utf8(out).expect("the writer writes ASCII"));
+        json_block.len()
+    };
+    let (mut display_text, mut json_out) = (String::new(), Vec::new());
+    display_pass(&mut display_text);
+    shortest_pass(&mut json_out);
+    assert_eq!(
+        json_out,
+        display_text.as_bytes(),
+        "JSON number writer and f64 Display diverged"
+    );
 
     let mut configs = Vec::new();
     // Times one group of kernels that a summary ratio compares. Each of the
@@ -412,6 +442,11 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
                             "batch_rows": join_batch,
                             "window": join_window,
                             "pending_labels": join_bound,
+                            "repetitions": KERNEL_REPS,
+                        })
+                    } else if name.contains("json") {
+                        serde_json::json!({
+                            "numbers": block,
                             "repetitions": KERNEL_REPS,
                         })
                     } else if name.contains("encode") {
@@ -572,8 +607,22 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
         ],
     );
 
+    // Rows here are numbers written.
+    let json_target = if quick { 2_000_000 } else { 20_000_000 };
+    let json_rates = rows(
+        json_target,
+        &mut [
+            ("kernels/json_f64_display", &mut || {
+                display_pass(black_box(&mut display_text))
+            }),
+            ("kernels/json_f64_shortest", &mut || {
+                shortest_pass(black_box(&mut json_out))
+            }),
+        ],
+    );
+
     let summary = serde_json::json!({
-        "workload": format!("raw batch margins, block={block}, gbt d={gbt_d} (60 trees, depth<=4), logistic d={lr_d}; min-max encodes, d={lr_d} in batches of {encode_batch}; gbt fits, {gbt_train_rows} rows; conformance violations, d={lr_d}, m={profile_m}; exact KDE self-densities, n={kde_n}, d={kde_d}; pending joins, window {join_window}, {join_batches} batches of {join_batch}, bound {join_bound}"),
+        "workload": format!("raw batch margins, block={block}, gbt d={gbt_d} (60 trees, depth<=4), logistic d={lr_d}; min-max encodes, d={lr_d} in batches of {encode_batch}; gbt fits, {gbt_train_rows} rows; conformance violations, d={lr_d}, m={profile_m}; exact KDE self-densities, n={kde_n}, d={kde_d}; pending joins, window {join_window}, {join_batches} batches of {join_batch}, bound {join_bound}; JSON numbers, the first {block} logistic features"),
         "gbt_flat_vs_recursive": gbt_rates[1] / gbt_rates[0],
         "gbt_fit_presorted_vs_reference": fit_rates[1] / fit_rates[0],
         "logistic_tiles_vs_scalar": lr_rates[1] / lr_rates[0],
@@ -583,6 +632,7 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
         "conformance_path": conformance_path(),
         "kde_symmetric_vs_pointwise": kde_rates[1] / kde_rates[0],
         "pending_ring_vs_btree": join_rates[1] / join_rates[0],
+        "json_shortest_vs_display": json_rates[1] / json_rates[0],
     });
     (configs, summary)
 }

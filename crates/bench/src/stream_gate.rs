@@ -47,8 +47,10 @@ pub const HOST_PROBE: &str = "kernels/logistic_scalar";
 /// clear lead over per-node sorting, the heap-form GBT scoring kernel
 /// must keep a clear lead over the recursive walker it is pinned to, and
 /// the window's pending-join ring must stay well ahead of the `BTreeMap`
-/// it replaced on the same insert/join/evict sequence.
-pub const KERNEL_GATES: [(&str, f64); 7] = [
+/// it replaced on the same insert/join/evict sequence, and the JSON number
+/// writer must keep a clear lead over `f64`'s `Display`, whose bytes it
+/// reproduces, on the same block of doubles.
+pub const KERNEL_GATES: [(&str, f64); 8] = [
     ("conformance_packed_vs_scalar", 1.0),
     ("conformance_wide_vs_packed", 1.2),
     ("encode_in_place_vs_rows", 1.1),
@@ -56,6 +58,7 @@ pub const KERNEL_GATES: [(&str, f64); 7] = [
     ("gbt_fit_presorted_vs_reference", 1.5),
     ("gbt_flat_vs_recursive", 1.5),
     ("pending_ring_vs_btree", 2.0),
+    ("json_shortest_vs_display", 1.5),
 ];
 
 /// What a gate run printed and which gates failed.

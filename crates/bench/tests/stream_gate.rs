@@ -153,6 +153,24 @@ fn gbt_flat_ratio_below_floor_or_missing_fails() {
 }
 
 #[test]
+fn json_number_ratio_below_floor_or_missing_fails() {
+    let key = "json_shortest_vs_display";
+    let mut current = committed();
+    set_kernel_ratio(&mut current, key, Some(1.2));
+    assert_eq!(
+        failures(&current),
+        vec![format!("kernels.{key} = 1.20 < 1.5")]
+    );
+    set_kernel_ratio(&mut current, key, None);
+    assert_eq!(
+        failures(&current),
+        vec![format!("current: no `kernels.{key}` ratio")]
+    );
+    set_kernel_ratio(&mut current, key, Some(1.5));
+    assert_eq!(failures(&current), Vec::<String>::new());
+}
+
+#[test]
 fn conformance_wide_ratio_below_floor_or_missing_fails() {
     let key = "conformance_wide_vs_packed";
     let mut current = committed();

@@ -45,6 +45,11 @@ pub enum LearnError {
         /// Feature (column) of that value.
         feature: usize,
     },
+    /// A training label was NaN, infinite or outside [0, 1].
+    InvalidLabel {
+        /// Row of the first offending label.
+        row: usize,
+    },
 }
 
 impl std::fmt::Display for LearnError {
@@ -56,6 +61,9 @@ impl std::fmt::Display for LearnError {
             LearnError::InvalidWeights(msg) => write!(f, "invalid weights: {msg}"),
             LearnError::NonFinite { row, feature } => {
                 write!(f, "non-finite value in row {row}, feature {feature}")
+            }
+            LearnError::InvalidLabel { row } => {
+                write!(f, "label in row {row} is not a number in [0, 1]")
             }
         }
     }
@@ -233,6 +241,12 @@ pub(crate) fn validate_fit_inputs(
     {
         return Err(LearnError::NonFinite { row, feature });
     }
+    // Both losses read a label as the probability of the positive class: a
+    // NaN gives GBT a NaN base score, and a label of 7 drives the logistic
+    // Newton step to enormous coefficients. (`contains` is false for NaN.)
+    if let Some(row) = y.iter().position(|v| !(0.0..=1.0).contains(v)) {
+        return Err(LearnError::InvalidLabel { row });
+    }
     let w = match weights {
         Some(w) => {
             if w.len() != x.rows() {
@@ -357,6 +371,28 @@ mod tests {
             validate_fit_inputs(&x, &[0.0, 1.0], None).unwrap(),
             vec![1.0, 1.0]
         );
+    }
+
+    #[test]
+    fn labels_outside_the_unit_interval_fail_typed_for_both_learners() {
+        let x = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![2.0], vec![3.0]]);
+        for kind in LearnerKind::both() {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, 7.0] {
+                let y = [0.0, 1.0, bad, 1.0];
+                assert_eq!(
+                    kind.build().fit(&x, &y, None),
+                    Err(LearnError::InvalidLabel { row: 2 }),
+                    "{} label {bad}",
+                    kind.name()
+                );
+            }
+            for y in [[0.0, 0.0, 1.0, 1.0], [0.0, 0.25, 0.5, 1.0]] {
+                let mut model = kind.build();
+                model.fit(&x, &y, None).expect("labels in [0, 1] fit");
+                let margins = model.predict_margin(&x).expect("fitted");
+                assert!(margins.iter().all(|m| m.is_finite()), "{margins:?}");
+            }
+        }
     }
 
     #[test]
