@@ -18,13 +18,13 @@ use cf_bench::stream_load::{
 };
 use cf_conformance::{learn_constraints, LearnOptions};
 use cf_data::{Column, Dataset, FeatureEncoding};
-use cf_datasets::stream::DriftStream;
+use cf_datasets::stream::{DriftStream, DriftStreamSpec};
 use cf_density::Kde;
-use cf_learners::{Gbt, GbtConfig, Learner, LogisticRegression};
+use cf_learners::{Gbt, GbtConfig, Learner, LearnerKind, LogisticRegression};
 use cf_linalg::{vector, Matrix};
 use cf_stream::{
-    AsyncConfig, AsyncEngine, GroupLayout, PendingIndex, PendingLabel, RetrainPolicy,
-    ShardedEngine, ShardedTuple, StreamEngine, StreamTuple,
+    AsyncConfig, AsyncEngine, EngineCheckpoint, GroupLayout, PendingIndex, PendingLabel,
+    RetrainPolicy, ShardedEngine, ShardedTuple, StreamConfig, StreamEngine, StreamTuple,
 };
 use cf_telemetry::{shared_sink, NullSink, RingSink, TelemetryEvent};
 use std::collections::BTreeMap;
@@ -155,8 +155,11 @@ fn conformance_path() -> &'static str {
 /// outside the engine (no window, no counters), so the rows isolate
 /// exactly what the kernel rewrites bought — and of the window's
 /// pending-join index against the `BTreeMap` it replaced, on the same
-/// insert/join/evict sequence. Every pair is asserted
-/// bit-identical before the clock starts. Each row splits its row target
+/// insert/join/evict sequence, of the JSON number writer against `f64`'s
+/// `Display`, and of encoding a `restart16`-shaped checkpoint straight
+/// from its structs against encoding it through a cloned `Value` tree
+/// (with the ungated decode of the same document timed alongside). Every
+/// pair is asserted bit-identical before the clock starts. Each row splits its row target
 /// over [`KERNEL_REPS`] timed repetitions, interleaved with those of the
 /// rows it is compared with, and reports the fastest, so a preempted
 /// repetition cannot drag down a row — in particular
@@ -372,7 +375,7 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
     let shortest_pass = |out: &mut Vec<u8>| {
         out.clear();
         for &x in black_box(json_block) {
-            serde_json::write_f64(out, x);
+            serde::write_f64(out, x);
             out.push(b',');
         }
         black_box(std::str::from_utf8(out).expect("the writer writes ASCII"));
@@ -385,6 +388,39 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
         json_out,
         display_text.as_bytes(),
         "JSON number writer and f64 Display diverged"
+    );
+    // A checkpoint of restart16's shape: logistic, d=16, K=2, window 256,
+    // full. The tree row clones a parsed copy of the same document, writes
+    // it and drops it: the cost shape of encoding through a `Value` tree.
+    let (ckpt_d, ckpt_window) = (16, 256);
+    let ckpt_spec = DriftStreamSpec {
+        n_features: ckpt_d,
+        drift_onset: u64::MAX,
+        ..DriftStreamSpec::default()
+    };
+    let mut ckpt_engine = StreamEngine::from_reference(
+        &ckpt_spec.reference(4_000, 1),
+        LearnerKind::Logistic,
+        1,
+        StreamConfig {
+            window: ckpt_window,
+            retrain: RetrainPolicy::Never,
+            ..StreamConfig::default()
+        },
+    )
+    .expect("bootstrap");
+    let ckpt_batch =
+        StreamTuple::rows_from_dataset(&DriftStream::new(ckpt_spec, 1).next_batch(1_024))
+            .expect("numeric rows");
+    ckpt_engine.ingest(&ckpt_batch).expect("ingest");
+    let checkpoint = ckpt_engine.checkpoint().expect("checkpoint");
+    let checkpoint_json = checkpoint.to_json();
+    let checkpoint_tree: serde_json::Value =
+        serde_json::from_str(&checkpoint_json).expect("the checkpoint parses");
+    assert_eq!(
+        serde_json::to_string(&checkpoint_tree).expect("encoding cannot fail"),
+        checkpoint_json,
+        "direct and tree checkpoint encodings diverged"
     );
 
     let mut configs = Vec::new();
@@ -442,6 +478,13 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
                             "batch_rows": join_batch,
                             "window": join_window,
                             "pending_labels": join_bound,
+                            "repetitions": KERNEL_REPS,
+                        })
+                    } else if name.contains("json_checkpoint") {
+                        serde_json::json!({
+                            "bytes": checkpoint_json.len(),
+                            "features": ckpt_d,
+                            "window": ckpt_window,
                             "repetitions": KERNEL_REPS,
                         })
                     } else if name.contains("json") {
@@ -621,8 +664,32 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
         ],
     );
 
+    // Rows here are checkpoint documents encoded or decoded.
+    let ckpt_target = if quick { 200 } else { 2_000 };
+    let ckpt_rates = rows(
+        ckpt_target,
+        &mut [
+            ("kernels/json_checkpoint_via_tree", &mut || {
+                let tree = black_box(&checkpoint_tree).clone();
+                black_box(serde_json::to_string(&tree).expect("encoding cannot fail"));
+                drop(black_box(tree));
+                1
+            }),
+            ("kernels/json_checkpoint_direct", &mut || {
+                black_box(black_box(&checkpoint).to_json());
+                1
+            }),
+            ("kernels/json_checkpoint_decode", &mut || {
+                black_box(
+                    EngineCheckpoint::from_json(black_box(&checkpoint_json)).expect("decode"),
+                );
+                1
+            }),
+        ],
+    );
+
     let summary = serde_json::json!({
-        "workload": format!("raw batch margins, block={block}, gbt d={gbt_d} (60 trees, depth<=4), logistic d={lr_d}; min-max encodes, d={lr_d} in batches of {encode_batch}; gbt fits, {gbt_train_rows} rows; conformance violations, d={lr_d}, m={profile_m}; exact KDE self-densities, n={kde_n}, d={kde_d}; pending joins, window {join_window}, {join_batches} batches of {join_batch}, bound {join_bound}; JSON numbers, the first {block} logistic features"),
+        "workload": format!("raw batch margins, block={block}, gbt d={gbt_d} (60 trees, depth<=4), logistic d={lr_d}; min-max encodes, d={lr_d} in batches of {encode_batch}; gbt fits, {gbt_train_rows} rows; conformance violations, d={lr_d}, m={profile_m}; exact KDE self-densities, n={kde_n}, d={kde_d}; pending joins, window {join_window}, {join_batches} batches of {join_batch}, bound {join_bound}; JSON numbers, the first {block} logistic features; JSON checkpoints, logistic d={ckpt_d}, window {ckpt_window}, {} bytes", checkpoint_json.len()),
         "gbt_flat_vs_recursive": gbt_rates[1] / gbt_rates[0],
         "gbt_fit_presorted_vs_reference": fit_rates[1] / fit_rates[0],
         "logistic_tiles_vs_scalar": lr_rates[1] / lr_rates[0],
@@ -633,6 +700,7 @@ fn kernels(quick: bool) -> (Vec<serde_json::Value>, serde_json::Value) {
         "kde_symmetric_vs_pointwise": kde_rates[1] / kde_rates[0],
         "pending_ring_vs_btree": join_rates[1] / join_rates[0],
         "json_shortest_vs_display": json_rates[1] / json_rates[0],
+        "json_direct_vs_tree": ckpt_rates[1] / ckpt_rates[0],
     });
     (configs, summary)
 }

@@ -171,6 +171,24 @@ fn json_number_ratio_below_floor_or_missing_fails() {
 }
 
 #[test]
+fn json_checkpoint_ratio_below_floor_or_missing_fails() {
+    let key = "json_direct_vs_tree";
+    let mut current = committed();
+    set_kernel_ratio(&mut current, key, Some(1.1));
+    assert_eq!(
+        failures(&current),
+        vec![format!("kernels.{key} = 1.10 < 1.3")]
+    );
+    set_kernel_ratio(&mut current, key, None);
+    assert_eq!(
+        failures(&current),
+        vec![format!("current: no `kernels.{key}` ratio")]
+    );
+    set_kernel_ratio(&mut current, key, Some(1.3));
+    assert_eq!(failures(&current), Vec::<String>::new());
+}
+
+#[test]
 fn conformance_wide_ratio_below_floor_or_missing_fails() {
     let key = "conformance_wide_vs_packed";
     let mut current = committed();

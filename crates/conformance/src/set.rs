@@ -310,8 +310,8 @@ impl std::fmt::Debug for ConstraintSet {
 // bit-identical restore contract checkpointing relies on. The stored
 // (already normalised) importances are reinstated verbatim.
 impl serde::Serialize for ConstraintSet {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![("projections".into(), self.projections.to_value())])
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.object(|w| w.field(b"\"projections\":", &self.projections));
     }
 }
 
@@ -495,7 +495,7 @@ mod tests {
 
     #[test]
     fn non_finite_importances_are_rejected_by_both_constructors() {
-        use serde::{Deserialize, Serialize};
+        use serde::{Deserialize, Value};
         for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
             let projections = vec![
                 proj(vec![1.0, 0.0], 0.0, 1.0, 0.1, 1.0),
@@ -503,7 +503,26 @@ mod tests {
             ];
             let built = std::panic::catch_unwind(|| ConstraintSet::new(projections.clone()));
             assert!(built.is_err(), "new accepted importance {bad}");
-            let doc = serde::Value::Object(vec![("projections".into(), projections.to_value())]);
+            // JSON text carries a non-finite number only as `null`; the
+            // tree here holds it as is, for the set's own check to refuse.
+            let mut doc = serde_json::to_value(&ConstraintSet::new(vec![
+                proj(vec![1.0, 0.0], 0.0, 1.0, 0.1, 1.0),
+                proj(vec![0.0, 1.0], 0.0, 1.0, 0.1, 1.0),
+            ]));
+            let Value::Object(fields) = &mut doc else {
+                panic!("a constraint set is an object")
+            };
+            let Value::Array(items) = &mut fields[0].1 else {
+                panic!("a constraint set lists its projections")
+            };
+            let Value::Object(second) = &mut items[1] else {
+                panic!("a projection is an object")
+            };
+            for (key, value) in second.iter_mut() {
+                if key == "importance" {
+                    *value = Value::Number(bad);
+                }
+            }
             let err = ConstraintSet::from_value(&doc).unwrap_err();
             assert!(err.to_string().contains("finite"), "{bad}: got {err}");
         }
@@ -520,9 +539,12 @@ mod tests {
 
     #[test]
     fn ragged_or_zero_width_documents_are_errors() {
-        use serde::{Deserialize, Serialize};
+        use serde::Deserialize;
         let doc = |projections: Vec<Projection>| {
-            serde::Value::Object(vec![("projections".into(), projections.to_value())])
+            serde::Value::Object(vec![(
+                "projections".into(),
+                serde_json::to_value(&projections),
+            )])
         };
         for projections in [
             vec![
@@ -535,7 +557,7 @@ mod tests {
             assert!(err.to_string().contains("width"), "got: {err}");
         }
         let set = ConstraintSet::new(vec![proj(vec![1.0, 2.0], 0.0, 1.0, 0.1, 1.0)]);
-        let back = ConstraintSet::from_value(&set.to_value()).unwrap();
+        let back = ConstraintSet::from_value(&serde_json::to_value(&set)).unwrap();
         assert_eq!(back, set);
         assert_eq!(back.violation(&[3.0, 1.0]), set.violation(&[3.0, 1.0]));
     }

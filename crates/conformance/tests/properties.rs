@@ -178,9 +178,25 @@ fn arbitrary_set(d: usize, m: usize, weights: Weights, rng: &mut StdRng) -> Cons
             },
         })
         .collect();
-    let doc = serde::Value::Object(vec![(
+    // Built as a tree, not written and parsed: JSON text would carry
+    // σ = +∞ only as `null`.
+    use serde::Value;
+    let number = |x: f64| Value::Number(x);
+    let projection = |p: &Projection| {
+        Value::Object(vec![
+            (
+                "coeffs".into(),
+                Value::Array(p.coeffs.iter().copied().map(number).collect()),
+            ),
+            ("lb".into(), number(p.lb)),
+            ("ub".into(), number(p.ub)),
+            ("std".into(), number(p.std)),
+            ("importance".into(), number(p.importance)),
+        ])
+    };
+    let doc = Value::Object(vec![(
         "projections".into(),
-        serde::Serialize::to_value(&projections),
+        Value::Array(projections.iter().map(projection).collect()),
     )]);
     <ConstraintSet as serde::Deserialize>::from_value(&doc).expect("well-formed set")
 }

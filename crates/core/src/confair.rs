@@ -132,8 +132,8 @@ impl Default for AlphaMode {
 // structs): `FairnessTarget` as its paper label, `AlphaMode` as a
 // single-variant-keyed object.
 impl serde::Serialize for FairnessTarget {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::String(self.label().into())
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.str(self.label());
     }
 }
 
@@ -149,18 +149,17 @@ impl serde::Deserialize for FairnessTarget {
 }
 
 impl serde::Serialize for AlphaMode {
-    fn to_value(&self) -> serde::Value {
+    fn serialize(&self, w: &mut serde::Writer) {
         match self {
-            AlphaMode::Fixed { alpha_u, alpha_w } => serde::Value::Object(vec![(
-                "fixed".into(),
-                serde::Value::Object(vec![
-                    ("alpha_u".into(), alpha_u.to_value()),
-                    ("alpha_w".into(), alpha_w.to_value()),
-                ]),
-            )]),
-            AlphaMode::Auto { grid } => {
-                serde::Value::Object(vec![("auto".into(), grid.to_value())])
+            &AlphaMode::Fixed { alpha_u, alpha_w } => {
+                #[derive(serde::Serialize)]
+                struct Fixed {
+                    alpha_u: f64,
+                    alpha_w: f64,
+                }
+                w.object(|w| w.field(b"\"fixed\":", &Fixed { alpha_u, alpha_w }));
             }
+            AlphaMode::Auto { grid } => w.object(|w| w.field(b"\"auto\":", grid)),
         }
     }
 }
@@ -476,9 +475,24 @@ mod tests {
 
     #[test]
     fn unusable_alpha_degrees_fail_to_decode() {
-        use serde::{Deserialize, Serialize};
-        // Encoding does not validate, so each bad mode round-trips to a
-        // document that decoding must refuse.
+        use serde::{Deserialize, Value};
+        // Each bad mode as the document tree encoding it would give, with
+        // its degrees as they are: decoding must refuse every one, the
+        // non-finite degree included, which JSON text could only carry as
+        // `null`.
+        let tree = |mode: &AlphaMode| match mode {
+            AlphaMode::Fixed { alpha_u, alpha_w } => Value::Object(vec![(
+                "fixed".into(),
+                Value::Object(vec![
+                    ("alpha_u".into(), Value::Number(*alpha_u)),
+                    ("alpha_w".into(), Value::Number(*alpha_w)),
+                ]),
+            )]),
+            AlphaMode::Auto { grid } => Value::Object(vec![(
+                "auto".into(),
+                Value::Array(grid.iter().map(|&a| Value::Number(a)).collect()),
+            )]),
+        };
         for bad in [
             AlphaMode::Auto { grid: vec![] },
             AlphaMode::Auto {
@@ -492,11 +506,11 @@ mod tests {
                 alpha_w: -0.5,
             },
         ] {
-            let err = AlphaMode::from_value(&bad.to_value()).unwrap_err();
+            let err = AlphaMode::from_value(&tree(&bad)).unwrap_err();
             assert!(err.to_string().contains("alpha"), "{bad:?}: {err}");
         }
         let good = AlphaMode::default();
-        assert_eq!(AlphaMode::from_value(&good.to_value()).unwrap(), good);
+        assert_eq!(AlphaMode::from_value(&tree(&good)).unwrap(), good);
     }
 
     #[test]

@@ -235,18 +235,18 @@ impl FeatureEncoding {
 // fitted min/max bounds round-trip bit-exactly through the JSON shim, so a
 // restored encoding scales features identically to the original.
 impl serde::Serialize for ColumnEncoder {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            ColumnEncoder::MinMax { min, max } => serde::Value::Object(vec![
-                ("kind".into(), serde::Value::String("minmax".into())),
-                ("min".into(), serde::Value::Number(*min)),
-                ("max".into(), serde::Value::Number(*max)),
-            ]),
-            ColumnEncoder::OneHot { n_levels } => serde::Value::Object(vec![
-                ("kind".into(), serde::Value::String("onehot".into())),
-                ("n_levels".into(), serde::Value::Number(*n_levels as f64)),
-            ]),
-        }
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.object(|w| match self {
+            ColumnEncoder::MinMax { min, max } => {
+                w.field(b"\"kind\":", "minmax");
+                w.field(b"\"min\":", min);
+                w.field(b"\"max\":", max);
+            }
+            ColumnEncoder::OneHot { n_levels } => {
+                w.field(b"\"kind\":", "onehot");
+                w.field(b"\"n_levels\":", n_levels);
+            }
+        });
     }
 }
 
@@ -266,11 +266,11 @@ impl serde::Deserialize for ColumnEncoder {
 }
 
 impl serde::Serialize for FeatureEncoding {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("encoders".into(), self.encoders.to_value()),
-            ("feature_names".into(), self.feature_names.to_value()),
-        ])
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.object(|w| {
+            w.field(b"\"encoders\":", &self.encoders);
+            w.field(b"\"feature_names\":", &self.feature_names);
+        });
     }
 }
 

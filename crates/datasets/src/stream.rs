@@ -33,19 +33,18 @@ pub enum LabelDelay {
 }
 
 impl serde::Serialize for LabelDelay {
-    fn to_value(&self) -> serde::Value {
+    fn serialize(&self, w: &mut serde::Writer) {
         match self {
-            LabelDelay::Immediate => serde::Value::String("immediate".into()),
-            LabelDelay::Fixed(delay) => {
-                serde::Value::Object(vec![("fixed".into(), delay.to_value())])
+            LabelDelay::Immediate => w.str("immediate"),
+            LabelDelay::Fixed(delay) => w.object(|w| w.field(b"\"fixed\":", delay)),
+            &LabelDelay::Uniform { min, max } => {
+                #[derive(serde::Serialize)]
+                struct Uniform {
+                    min: u64,
+                    max: u64,
+                }
+                w.object(|w| w.field(b"\"uniform\":", &Uniform { min, max }));
             }
-            LabelDelay::Uniform { min, max } => serde::Value::Object(vec![(
-                "uniform".into(),
-                serde::Value::Object(vec![
-                    ("min".into(), min.to_value()),
-                    ("max".into(), max.to_value()),
-                ]),
-            )]),
         }
     }
 }

@@ -57,20 +57,17 @@ impl Default for GbtConfig {
 // string instead, so subsampled retrains replay bit-identically after a
 // restore.
 impl serde::Serialize for GbtConfig {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("n_rounds".into(), self.n_rounds.to_value()),
-            ("eta".into(), self.eta.to_value()),
-            ("max_depth".into(), self.max_depth.to_value()),
-            ("lambda".into(), self.lambda.to_value()),
-            ("gamma".into(), self.gamma.to_value()),
-            ("min_child_weight".into(), self.min_child_weight.to_value()),
-            ("subsample".into(), self.subsample.to_value()),
-            (
-                "seed".into(),
-                serde::Value::String(format!("{:016x}", self.seed)),
-            ),
-        ])
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.object(|w| {
+            w.field(b"\"n_rounds\":", &self.n_rounds);
+            w.field(b"\"eta\":", &self.eta);
+            w.field(b"\"max_depth\":", &self.max_depth);
+            w.field(b"\"lambda\":", &self.lambda);
+            w.field(b"\"gamma\":", &self.gamma);
+            w.field(b"\"min_child_weight\":", &self.min_child_weight);
+            w.field(b"\"subsample\":", &self.subsample);
+            w.field(b"\"seed\":", &format!("{:016x}", self.seed));
+        });
     }
 }
 
@@ -131,14 +128,14 @@ impl Default for Gbt {
 // written before the flat kernel existed restore unchanged and new
 // checkpoints never persist the SoA form.
 impl serde::Serialize for Gbt {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("config".into(), self.config.to_value()),
-            ("trees".into(), self.trees.to_value()),
-            ("base_score".into(), self.base_score.to_value()),
-            ("n_features".into(), self.n_features.to_value()),
-            ("fitted".into(), self.fitted.to_value()),
-        ])
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.object(|w| {
+            w.field(b"\"config\":", &self.config);
+            w.field(b"\"trees\":", &self.trees);
+            w.field(b"\"base_score\":", &self.base_score);
+            w.field(b"\"n_features\":", &self.n_features);
+            w.field(b"\"fitted\":", &self.fitted);
+        });
     }
 }
 
@@ -595,7 +592,7 @@ mod tests {
         });
         fitted.fit(&x, &y, None).unwrap();
         let limit = HEAP_DEPTH_MAX as usize;
-        let mut doc = serde::Serialize::to_value(&fitted);
+        let mut doc = serde_json::to_value(&fitted);
         let serde::Value::Object(fields) = &mut doc else {
             panic!("a gbt document is an object")
         };

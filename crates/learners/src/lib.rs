@@ -166,15 +166,17 @@ impl Learner for ModelState {
 }
 
 impl serde::Serialize for ModelState {
-    fn to_value(&self) -> serde::Value {
-        let (kind, model) = match self {
-            ModelState::Logistic(m) => ("LR", m.to_value()),
-            ModelState::Gbt(m) => ("XGB", m.to_value()),
-        };
-        serde::Value::Object(vec![
-            ("kind".into(), serde::Value::String(kind.into())),
-            ("model".into(), model),
-        ])
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.object(|w| match self {
+            ModelState::Logistic(m) => {
+                w.field(b"\"kind\":", "LR");
+                w.field(b"\"model\":", m);
+            }
+            ModelState::Gbt(m) => {
+                w.field(b"\"kind\":", "XGB");
+                w.field(b"\"model\":", m);
+            }
+        });
     }
 }
 
@@ -305,8 +307,8 @@ impl LearnerKind {
 }
 
 impl serde::Serialize for LearnerKind {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::String(self.name().into())
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.str(self.name());
     }
 }
 

@@ -395,23 +395,21 @@ impl FlatTree {
 // weights round-trip bit-exactly, so a restored tree routes and scores every
 // row identically.
 impl serde::Serialize for TreeNode {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            TreeNode::Leaf { weight } => {
-                serde::Value::Object(vec![("weight".into(), serde::Value::Number(*weight))])
-            }
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.object(|w| match self {
+            TreeNode::Leaf { weight } => w.field(b"\"weight\":", weight),
             TreeNode::Split {
                 feature,
                 threshold,
                 left,
                 right,
-            } => serde::Value::Object(vec![
-                ("feature".into(), serde::Value::Number(*feature as f64)),
-                ("threshold".into(), serde::Value::Number(*threshold)),
-                ("left".into(), serde::Value::Number(*left as f64)),
-                ("right".into(), serde::Value::Number(*right as f64)),
-            ]),
-        }
+            } => {
+                w.field(b"\"feature\":", feature);
+                w.field(b"\"threshold\":", threshold);
+                w.field(b"\"left\":", left);
+                w.field(b"\"right\":", right);
+            }
+        });
     }
 }
 
@@ -432,11 +430,11 @@ impl serde::Deserialize for TreeNode {
 }
 
 impl serde::Serialize for RegressionTree {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("nodes".into(), self.nodes.to_value()),
-            ("root".into(), serde::Value::Number(self.root as f64)),
-        ])
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.object(|w| {
+            w.field(b"\"nodes\":", &self.nodes);
+            w.field(b"\"root\":", &self.root);
+        });
     }
 }
 

@@ -276,7 +276,7 @@ fn upgrade_v2_engine(doc: &mut serde::Value) -> Result<()> {
         set_field(
             &mut c,
             "repair",
-            serde::Serialize::to_value(&crate::supervise::RepairConfig::default()),
+            serde_json::to_value(&crate::supervise::RepairConfig::default()),
         )?;
         c
     };

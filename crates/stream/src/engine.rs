@@ -121,13 +121,16 @@ pub enum RetrainPolicy {
 }
 
 impl serde::Serialize for RetrainPolicy {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            RetrainPolicy::Never => serde::Value::String("never".into()),
-            RetrainPolicy::OnAlert { min_window } => serde::Value::Object(vec![(
-                "on_alert".into(),
-                serde::Value::Object(vec![("min_window".into(), min_window.to_value())]),
-            )]),
+    fn serialize(&self, w: &mut serde::Writer) {
+        match *self {
+            RetrainPolicy::Never => w.str("never"),
+            RetrainPolicy::OnAlert { min_window } => {
+                #[derive(serde::Serialize)]
+                struct OnAlert {
+                    min_window: usize,
+                }
+                w.object(|w| w.field(b"\"on_alert\":", &OnAlert { min_window }));
+            }
         }
     }
 }

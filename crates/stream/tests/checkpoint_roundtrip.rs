@@ -410,6 +410,13 @@ fn truncated_and_garbled_documents_are_typed_errors() {
         EngineCheckpoint::from_json(&json.replacen("\"schema\"", "\"schemo\"", 1)),
         Err(StreamError::Checkpoint(_))
     ));
+    // `096` is not a JSON number, though `str::parse` reads it as 96.
+    let padded = json.replacen("\"seen\":96", "\"seen\":096", 1);
+    assert_ne!(padded, json, "tamper target must exist");
+    assert!(matches!(
+        EngineCheckpoint::from_json(&padded),
+        Err(StreamError::Checkpoint(e)) if e.contains("leading zero")
+    ));
 }
 
 #[test]

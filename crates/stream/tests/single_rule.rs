@@ -15,7 +15,7 @@ use cf_linalg::Matrix;
 use cf_stream::{Scorer, StreamTuple};
 use confair_core::{Predictor, SingleModelPredictor};
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Value};
 
 const FEATURES: usize = 3;
 
@@ -77,7 +77,7 @@ fn edited(
             _ => {}
         }
     }
-    let mut v = predictor.to_value();
+    let mut v = serde_json::to_value(predictor);
     walk(&mut v, key, f);
     SingleModelPredictor::from_value(&v).unwrap()
 }
@@ -137,7 +137,7 @@ fn logistic_rows_at_a_zero_margin_decide_alike() {
     let predictor = edited(&predictor, "coefficients", &|_| {
         let mut coefficients = vec![0.0; FEATURES];
         coefficients[0] = 1.0;
-        coefficients.to_value()
+        serde_json::to_value(&coefficients)
     });
     let predictor = edited(&predictor, "intercept", &|_| Value::Number(-1.0));
     for n in 1..=9 {

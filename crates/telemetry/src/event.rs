@@ -22,7 +22,7 @@
 //! and byte-identical serialisation is a structural guarantee, not a
 //! test-enforced coincidence.
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, Serialize, SerializeFields, Value, Writer};
 
 /// Windowed tallies for one group cell across both planes of the stream
 /// window, each maintained in O(1) per event. The stream engines keep
@@ -310,8 +310,8 @@ impl DriftKind {
 }
 
 impl Serialize for DriftKind {
-    fn to_value(&self) -> Value {
-        Value::String(self.wire_name().into())
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self.wire_name());
     }
 }
 
@@ -653,25 +653,23 @@ impl TelemetryEvent {
 // encoding is spelled out by hand (as for `DriftKind` above, and
 // `cf-stream`'s `RetrainPolicy`): `{"event": <kind>, …payload fields…}`.
 impl Serialize for TelemetryEvent {
-    fn to_value(&self) -> Value {
-        let payload = match self {
-            TelemetryEvent::IngestBatch(e) => e.to_value(),
-            TelemetryEvent::DriftAlert(e) => e.to_value(),
-            TelemetryEvent::RepairStart(e) => e.to_value(),
-            TelemetryEvent::RepairEnd(e) => e.to_value(),
-            TelemetryEvent::ThresholdChange(e) => e.to_value(),
-            TelemetryEvent::ModelSwap(e) => e.to_value(),
-            TelemetryEvent::Checkpoint(e) => e.to_value(),
-            TelemetryEvent::FeedbackJoin(e) => e.to_value(),
-            TelemetryEvent::Drop(e) => e.to_value(),
-            TelemetryEvent::MonitorRestart(e) => e.to_value(),
-            TelemetryEvent::DegradedMode(e) => e.to_value(),
-        };
-        let mut fields = vec![("event".to_string(), Value::String(self.kind().to_string()))];
-        if let Value::Object(inner) = payload {
-            fields.extend(inner);
-        }
-        Value::Object(fields)
+    fn serialize(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.field(b"\"event\":", self.kind());
+            match self {
+                TelemetryEvent::IngestBatch(e) => e.serialize_fields(w),
+                TelemetryEvent::DriftAlert(e) => e.serialize_fields(w),
+                TelemetryEvent::RepairStart(e) => e.serialize_fields(w),
+                TelemetryEvent::RepairEnd(e) => e.serialize_fields(w),
+                TelemetryEvent::ThresholdChange(e) => e.serialize_fields(w),
+                TelemetryEvent::ModelSwap(e) => e.serialize_fields(w),
+                TelemetryEvent::Checkpoint(e) => e.serialize_fields(w),
+                TelemetryEvent::FeedbackJoin(e) => e.serialize_fields(w),
+                TelemetryEvent::Drop(e) => e.serialize_fields(w),
+                TelemetryEvent::MonitorRestart(e) => e.serialize_fields(w),
+                TelemetryEvent::DegradedMode(e) => e.serialize_fields(w),
+            }
+        });
     }
 }
 

@@ -12,16 +12,15 @@
 //! tampered or truncated log surfaces as [`ReplayError::SnapshotMismatch`]
 //! or [`ReplayError::CounterUnderflow`], not as silently wrong output.
 //!
-//! The check compares JSON [`Value`] trees rather than parsed structs,
-//! because JSON cannot carry non-finite floats: a disparate impact of ∞
-//! is recorded as `null`, and parsing it back would read `None` where the
-//! live run had `Some(∞)`. Normalising the recomputed snapshot's value
-//! tree (non-finite → `null`) and comparing at that level sidesteps the
-//! asymmetry without weakening the byte-identity claim — the recomputed
-//! sequence, serialised, is exactly the recorded bytes.
+//! The check compares the two readings as written JSON text rather than
+//! as parsed structs, because JSON cannot carry non-finite floats: a
+//! disparate impact of ∞ is recorded as `null`, and parsing it back would
+//! read `None` where the live run had `Some(∞)`. Written out, both are
+//! `null`, and every finite number writes the bytes it was read from, so
+//! the recomputed sequence, serialised, is exactly the recorded bytes.
 
 use crate::event::{DriftAlert, SnapshotData, TelemetryEvent, WindowCounters};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Value, Writer};
 use std::path::Path;
 
 /// Why a trail failed to replay. Every variant names the 1-based JSONL
@@ -118,25 +117,17 @@ pub struct ReplayedRun {
     pub degraded: bool,
 }
 
-/// Map non-finite numbers to `Null`, recursively — the projection JSON
-/// itself applies when a value tree is written out.
-fn normalize(v: Value) -> Value {
-    match v {
-        Value::Number(n) if !n.is_finite() => Value::Null,
-        Value::Array(items) => Value::Array(items.into_iter().map(normalize).collect()),
-        Value::Object(fields) => Value::Object(
-            fields
-                .into_iter()
-                .map(|(k, inner)| (k, normalize(inner)))
-                .collect(),
-        ),
-        other => other,
-    }
+/// `v` as compact JSON bytes.
+fn written(v: &(impl Serialize + ?Sized)) -> Vec<u8> {
+    let mut w = Writer::compact();
+    v.serialize(&mut w);
+    w.into_bytes()
 }
 
 /// Apply a window-advancing event's deltas, recompute the reading, and
-/// verify it against the recorded value tree. The first such event sizes
-/// the accumulator to the trail's cell count K; later events must agree.
+/// verify it against the recorded one, as written text. The first such
+/// event sizes the accumulator to the trail's cell count K; later events
+/// must agree.
 fn advance(
     counters: &mut Vec<WindowCounters>,
     delta: &[crate::event::CounterDelta],
@@ -156,7 +147,7 @@ fn advance(
     }
     let recomputed = SnapshotData::from_counters(counters, di_floor);
     if let Some(recorded) = recorded {
-        if normalize(recomputed.to_value()) != *recorded {
+        if written(&recomputed) != written(recorded) {
             return Err(ReplayError::SnapshotMismatch { line });
         }
     }
